@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDuplicatesError, InvalidInputError
-from .linalg import as_matrix, center_columns, covariance, sym_eigen, sym_inverse
+from .linalg import as_matrix, center_columns, covariance, sym_eigen
 
 # Condition-number bound past which the Mahalanobis covariance is ridged.
 _COND_MAX = 1e12
@@ -96,8 +96,9 @@ def mahalanobis_score(X) -> np.ndarray:
     tail = float(vals[-1])
     if lead == 0.0 or tail <= 0.0 or lead / tail > _COND_MAX:
         trace = float(np.trace(S))
-        ridge = _RIDGE_EPS * (trace / d if trace > 0.0 else 1.0)
-        S = S + ridge * np.eye(d)
-    S_inv = sym_inverse(S)
+        # S + ridge*I has the same eigenvectors, with every eigenvalue shifted.
+        vals = vals + _RIDGE_EPS * (trace / d if trace > 0.0 else 1.0)
+    V = eig.eigenvectors
+    S_inv = (V / vals) @ V.T
     quad = np.einsum("ij,jk,ik->i", centered, S_inv, centered)
     return np.maximum(quad, 0.0)

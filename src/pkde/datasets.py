@@ -130,7 +130,7 @@ def load_csv(path, has_header: bool = True, label_column: str | None = None,
     label column selected by header name or by "last"."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [r for r in rows_iter(reader)]
+        rows = [r for r in _rows_iter(reader)]
     if not rows:
         raise InvalidInputError(f"{path}: file is empty")
 
@@ -190,7 +190,7 @@ def load_csv(path, has_header: bool = True, label_column: str | None = None,
     )
 
 
-def rows_iter(reader):
+def _rows_iter(reader):
     for row in reader:
         if row and any(cell.strip() for cell in row):
             yield [cell.strip() for cell in row]

@@ -111,20 +111,7 @@ def pkde_scores(X, config: DetectorConfig) -> tuple[np.ndarray, int]:
 
 def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
     """Run the full pipeline and label the top-K lowest-density points."""
-    t0 = time.perf_counter()
-    scores, m = pkde_scores(X, config)
-    t1 = time.perf_counter()
-    k = k_from_contamination(config.contamination, scores.shape[0])
-    labels = top_k_select(scores, k)
-    t2 = time.perf_counter()
-    return DetectionResult(
-        scores=scores,
-        labels=labels,
-        k_used=k,
-        reduced_dim=m,
-        fit_time=t1 - t0,
-        score_time=t2 - t1,
-    )
+    return detect("pkde", X, config)
 
 
 def _knn_scores(X, config: DetectorConfig) -> tuple[np.ndarray, int]:

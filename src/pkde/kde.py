@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBandwidthError
-from .linalg import as_matrix, as_vector, sym_eigen
+from .linalg import as_matrix, as_vector
 
-# Below this relative eigenvalue the bandwidth is treated as singular.
+# Below this Cholesky pivot, relative to trace(H), the bandwidth is singular.
 _SINGULAR_REL = 1e-12
-
-# Off-diagonal magnitude below which H is handled as exactly diagonal.
-_DIAG_TOL = 1e-14
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -44,30 +41,22 @@ class KdeModel:
 
 
 def _spd_inverse_logdet(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of H; fast path when H is diagonal."""
-    d = H.shape[0]
-    off = np.abs(H - np.diag(np.diag(H)))
-    if float(off.max(initial=0.0)) <= _DIAG_TOL:
-        diag = np.diag(H).copy()
-        if np.any(diag <= _SINGULAR_REL * max(float(diag.sum()), 0.0)) or np.any(
-            diag <= 0.0
-        ):
-            raise SingularBandwidthError(
-                "bandwidth has a (near-)zero diagonal entry; reduce the "
-                "dimension to drop the degenerate direction"
-            )
-        return np.diag(1.0 / diag), float(np.sum(np.log(diag)))
-    eig = sym_eigen(H)
-    vals = eig.eigenvalues
-    if np.any(vals <= _SINGULAR_REL * max(float(vals.sum()), 0.0)) or np.any(
-        vals <= 0.0
-    ):
+    """Inverse and log-determinant of H from one Cholesky factor H = L Lᵀ.
+
+    A pivot L_ii² at or below _SINGULAR_REL * trace(H) is a (near-)zero
+    direction; the test is relative, so it does not depend on data scale.
+    """
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or not np.all(np.diag(L) ** 2 > _SINGULAR_REL * float(np.trace(H))):
         raise SingularBandwidthError(
             "bandwidth matrix is singular or near-singular; reduce the "
             "dimension to drop the degenerate direction"
         )
-    V = eig.eigenvectors
-    return (V / vals) @ V.T, float(np.sum(np.log(vals)))
+    L_inv = np.linalg.inv(L)
+    return L_inv.T @ L_inv, float(2.0 * np.sum(np.log(np.diag(L))))
 
 
 def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
@@ -132,6 +121,47 @@ def density(model: KdeModel, query) -> float:
     return float(np.mean(np.exp(logk)))
 
 
+def _log_kernel_sum(model: KdeModel, Q: np.ndarray | None) -> np.ndarray:
+    """log of the average kernel over the samples at each row of Q.
+
+    Q=None scores the samples themselves with the self term left out, so the
+    average runs over the other n-1. Points are whitened, z = Wᵀ(x - mean)
+    with W Wᵀ = H_inv, which makes every kernel isotropic: the quadratic form
+    is ‖z_q - z_i‖² = ‖z_q‖² + ‖z_i‖² - 2 z_q·z_i. Centering first keeps that
+    expansion from cancelling badly for points far from the origin.
+    """
+    bw = model.bandwidth
+    W = np.linalg.cholesky(bw.H_inv)
+    shift = model.samples.mean(axis=0)
+    Z = (model.samples - shift) @ W
+    half_zz = 0.5 * np.einsum("ij,ij->i", Z, Z)
+    if Q is None:
+        Zq, half_qq, count = Z, half_zz, model.n - 1
+    else:
+        Zq = (Q - shift) @ W
+        half_qq = 0.5 * np.einsum("ij,ij->i", Zq, Zq)
+        count = model.n
+
+    out = np.empty(Zq.shape[0])
+    chunk = max(1, int(4_000_000 // model.n))
+    buf = np.empty((min(chunk, Zq.shape[0]), model.n))
+    for start in range(0, Zq.shape[0], chunk):
+        stop = min(start + chunk, Zq.shape[0])
+        # logk - const = -quad/2, built in place in one chunk buffer
+        logk = buf[: stop - start]
+        np.matmul(Zq[start:stop], Z.T, out=logk)
+        logk -= half_zz
+        logk -= half_qq[start:stop, None]
+        np.minimum(logk, 0.0, out=logk)
+        if Q is None:
+            np.fill_diagonal(logk[:, start:], -np.inf)
+        peak = logk.max(axis=1)
+        logk -= peak[:, None]
+        np.exp(logk, out=logk)
+        out[start:stop] = peak + np.log(logk.sum(axis=1))
+    return out + (_log_kernel_const(bw, model.d) - np.log(count))
+
+
 def log_density_all(model: KdeModel, queries) -> np.ndarray:
     """log f(q) for every query row, via a log-sum-exp reduction.
 
@@ -143,29 +173,7 @@ def log_density_all(model: KdeModel, queries) -> np.ndarray:
         raise InvalidInputError(
             f"queries have {Q.shape[1]} columns, model is {model.d}-dimensional"
         )
-    # Shift to the sample mean before expanding the quadratic form; the
-    # expansion cancels badly for points far from the origin.
-    shift = model.samples.mean(axis=0)
-    X = model.samples - shift
-    H_inv = model.bandwidth.H_inv
-    const = _log_kernel_const(model.bandwidth, model.d)
-    xx = np.einsum("ij,jk,ik->i", X, H_inv, X)
-
-    out = np.empty(Q.shape[0])
-    chunk = max(1, int(4_000_000 // model.n))
-    for start in range(0, Q.shape[0], chunk):
-        Qc = Q[start : start + chunk] - shift
-        qq = np.einsum("ij,jk,ik->i", Qc, H_inv, Qc)
-        cross = (Qc @ H_inv) @ X.T
-        quad = np.maximum(qq[:, None] + xx[None, :] - 2.0 * cross, 0.0)
-        logk = const - 0.5 * quad
-        peak = logk.max(axis=1)
-        out[start : start + chunk] = (
-            peak
-            + np.log(np.sum(np.exp(logk - peak[:, None]), axis=1))
-            - np.log(model.n)
-        )
-    return out
+    return _log_kernel_sum(model, Q)
 
 
 def log_density_loo(model: KdeModel) -> np.ndarray:
@@ -178,27 +186,4 @@ def log_density_loo(model: KdeModel) -> np.ndarray:
     kernel K_H(0) dwarfs every other term, and the self-inclusive sum
     rounds to the same value for every point.
     """
-    X = model.samples
-    shift = X.mean(axis=0)
-    Xs = X - shift
-    H_inv = model.bandwidth.H_inv
-    const = _log_kernel_const(model.bandwidth, model.d)
-    xx = np.einsum("ij,jk,ik->i", Xs, H_inv, Xs)
-
-    out = np.empty(model.n)
-    chunk = max(1, int(4_000_000 // model.n))
-    for start in range(0, model.n, chunk):
-        Qc = Xs[start : start + chunk]
-        qq = xx[start : start + chunk]
-        cross = (Qc @ H_inv) @ Xs.T
-        quad = np.maximum(qq[:, None] + xx[None, :] - 2.0 * cross, 0.0)
-        logk = const - 0.5 * quad
-        rows = np.arange(Qc.shape[0])
-        logk[rows, start + rows] = -np.inf
-        peak = logk.max(axis=1)
-        out[start : start + chunk] = (
-            peak
-            + np.log(np.sum(np.exp(logk - peak[:, None]), axis=1))
-            - np.log(model.n - 1)
-        )
-    return out
+    return _log_kernel_sum(model, None)

@@ -110,15 +110,6 @@ def sym_eigen(S) -> SymEigen:
     return SymEigen(eigenvalues=vals, eigenvectors=V)
 
 
-def sym_inverse(S) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via its eigensystem."""
-    eig = sym_eigen(S)
-    if np.any(eig.eigenvalues <= 0.0):
-        raise InvalidInputError("matrix is singular; cannot invert")
-    V = eig.eigenvectors
-    return (V / eig.eigenvalues) @ V.T
-
-
 def mahalanobis_sq(x, mu, S_inv) -> float:
     """Squared Mahalanobis distance (x-mu)' S_inv (x-mu)."""
     xv = as_vector(x, "x")

@@ -69,16 +69,27 @@ class TestScottBandwidth:
         assert abs(bw.scott_factor - 100.0 ** (-2.0 / 6.0)) < 1e-15
 
     def test_singular_rejected(self):
-        with pytest.raises(SingularBandwidthError):
-            scott_bandwidth(np.diag([1.0, 0.0]), 50)
+        rot = np.array([[math.sqrt(3.0) / 2.0, -0.5], [0.5, math.sqrt(3.0) / 2.0]])
+        for S in (
+            np.diag([1.0, 0.0]),
+            np.diag([1.0, 1e-14]),
+            # diag([1, 1e-14]) rotated by 30 degrees: no zero on the diagonal
+            rot @ np.diag([1.0, 1e-14]) @ rot.T,
+        ):
+            with pytest.raises(SingularBandwidthError):
+                scott_bandwidth(S, 50)
 
     def test_inverse_cached(self):
+        # The inverse and log-det must not depend on the scale of S.
         rng = np.random.default_rng(30)
         A = rng.standard_normal((10, 3))
         S = A.T @ A / 9
-        bw = scott_bandwidth(S, 10)
-        assert np.abs(bw.H @ bw.H_inv - np.eye(3)).max() <= 1e-8
-        assert math.isfinite(bw.log_det_H)
+        base = scott_bandwidth(S, 10).log_det_H
+        for c in (1e-30, 1.0, 1e30):
+            bw = scott_bandwidth(c * S, 10)
+            assert np.abs(bw.H @ bw.H_inv - np.eye(3)).max() <= 1e-8, c
+            assert math.isfinite(bw.log_det_H)
+            assert bw.log_det_H == pytest.approx(base + 3 * math.log(c), abs=1e-9)
 
 
 class TestGaussianKernel:
@@ -224,3 +235,16 @@ class TestLogDensityLoo:
         loo = np.exp(log_density_loo(model))
         full = np.array([density(model, X[i]) for i in range(7)])
         assert np.allclose(7 * full, 6 * loo + k0, rtol=1e-10)
+
+    def test_uniform_shift_identity_across_chunks(self):
+        # n > 2000 splits the n x n kernel sum into more than one chunk, so
+        # the self term must be dropped at the right offset in every chunk.
+        rng = np.random.default_rng(40)
+        n = 2100
+        X = rng.standard_normal((n, 2))
+        bw = make_bandwidth(np.eye(2) * 0.3)
+        model = fit_kde(X, bw)
+        k0 = gaussian_kernel([0.0, 0.0], bw)
+        loo = np.exp(log_density_loo(model))
+        full = np.exp(log_density_all(model, X))
+        assert np.allclose(n * full, (n - 1) * loo + k0, rtol=1e-10, atol=0.0)

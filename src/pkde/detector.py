@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .errors import DegenerateDataError, InvalidInputError
+from .errors import DegenerateDataError, InvalidInputError, NumericalError
 from .kde import fit_kde, log_density_loo, scott_bandwidth
 from .linalg import as_matrix, covariance
 from .pca import choose_dim, fit_pca, project
@@ -155,6 +155,11 @@ def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
     t0 = time.perf_counter()
     scores, dim = scorer(A, config)
     t1 = time.perf_counter()
+    bad = int(np.sum(~np.isfinite(scores)))
+    if bad:
+        raise NumericalError(
+            f"{name} produced {bad} non-finite scores of {scores.shape[0]}"
+        )
     k = k_from_contamination(config.contamination, A.shape[0])
     labels = top_k_select(scores, k)
     t2 = time.perf_counter()

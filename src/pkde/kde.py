@@ -20,6 +20,11 @@ _SINGULAR_REL = 1e-12
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# A kernel row sum below this may have lost terms to underflow. exp() loses
+# precision below about 2.2e-308, and n such terms stay negligible against
+# 1e-280 for any n a dense sum can reach.
+_UNDERFLOW_SUM = 1e-280
+
 
 @dataclass(frozen=True)
 class Bandwidth:
@@ -126,40 +131,67 @@ def _log_kernel_sum(model: KdeModel, Q: np.ndarray | None) -> np.ndarray:
 
     Q=None scores the samples themselves with the self term left out, so the
     average runs over the other n-1. Points are whitened, z = Wᵀ(x - mean)
-    with W Wᵀ = H_inv, which makes every kernel isotropic: the quadratic form
-    is ‖z_q - z_i‖² = ‖z_q‖² + ‖z_i‖² - 2 z_q·z_i. Centering first keeps that
-    expansion from cancelling badly for points far from the origin.
-    """
-    bw = model.bandwidth
-    W = np.linalg.cholesky(bw.H_inv)
-    shift = model.samples.mean(axis=0)
-    Z = (model.samples - shift) @ W
-    half_zz = 0.5 * np.einsum("ij,ij->i", Z, Z)
-    if Q is None:
-        Zq, half_qq, count = Z, half_zz, model.n - 1
-    else:
-        Zq = (Q - shift) @ W
-        half_qq = 0.5 * np.einsum("ij,ij->i", Zq, Zq)
-        count = model.n
+    with W Wᵀ = H_inv, which makes every kernel isotropic; centering first
+    keeps the expansion below from cancelling badly far from the origin.
 
-    out = np.empty(Zq.shape[0])
-    chunk = max(1, int(4_000_000 // model.n))
-    buf = np.empty((min(chunk, Zq.shape[0]), model.n))
-    for start in range(0, Zq.shape[0], chunk):
-        stop = min(start + chunk, Zq.shape[0])
-        # logk - const = -quad/2, built in place in one chunk buffer
-        logk = buf[: stop - start]
-        np.matmul(Zq[start:stop], Z.T, out=logk)
-        logk -= half_zz
-        logk -= half_qq[start:stop, None]
-        np.minimum(logk, 0.0, out=logk)
+    The norms ride in the GEMM: samples are lifted to [z, 1, -‖z‖²/2] and
+    query rows to [z, -‖z‖²/2, 1], so one product gives -‖z_q - z_i‖²/2.
+    Rows go in blocks of 4_000_000 // n through one buffer, exponentiated in
+    place and summed unshifted. With Q=None the matrix is symmetric, so block
+    [s, e) meets only columns [s, n): its row sums go to rows [s, e), and its
+    column sums past the block go to rows [e, n), which covers each pair once.
+    A row sum below _UNDERFLOW_SUM (or NaN) may have lost terms to underflow;
+    such rows are summed again exactly, shifted by their largest term.
+    """
+    n, m = model.n, model.d
+    W = np.linalg.cholesky(model.bandwidth.H_inv)
+    shift = model.samples.mean(axis=0)
+
+    def lift(X, h):
+        """Whitened rows with -‖z‖²/2 in column h and 1 in the other extra one."""
+        out = np.empty((X.shape[0], m + 2))
+        np.matmul(X - shift, W, out=out[:, :m])
+        out[:, m:] = 1.0
+        out[:, h] = -0.5 * np.einsum("ij,ij->i", out[:, :m], out[:, :m])
+        return out
+
+    B = lift(model.samples, m + 1)
+    swap = np.r_[:m, m + 1, m]
+
+    def rows(idx):
+        return B[idx][:, swap] if Q is None else lift(Q[idx], m)
+
+    nq = n if Q is None else Q.shape[0]
+    chunk = max(1, int(4_000_000 // n))
+    buf = np.empty(min(chunk, nq) * n)
+    sums = np.zeros(nq)
+    for s in range(0, nq, chunk):
+        e = min(s + chunk, nq)
+        c = s if Q is None else 0
+        k = buf[: (e - s) * (n - c)].reshape(e - s, n - c)
+        np.matmul(rows(slice(s, e)), B[c:].T, out=k)
+        np.exp(k, out=k)
         if Q is None:
-            np.fill_diagonal(logk[:, start:], -np.inf)
-        peak = logk.max(axis=1)
-        logk -= peak[:, None]
-        np.exp(logk, out=logk)
-        out[start:stop] = peak + np.log(logk.sum(axis=1))
-    return out + (_log_kernel_const(bw, model.d) - np.log(count))
+            np.fill_diagonal(k, 0.0)
+            sums[e:] += k[:, e - s :].sum(axis=0)
+        sums[s:e] += k.sum(axis=1)
+
+    redo = np.flatnonzero(~(sums >= _UNDERFLOW_SUM))
+    sums[redo] = 1.0
+    out = np.log(sums, out=sums)
+    for s in range(0, redo.size, chunk):
+        idx = redo[s : s + chunk]
+        k = buf[: idx.size * n].reshape(idx.size, n)
+        np.matmul(rows(idx), B.T, out=k)
+        np.minimum(k, 0.0, out=k)
+        if Q is None:
+            k[np.arange(idx.size), idx] = -np.inf
+        peak = k.max(axis=1)
+        k -= peak[:, None]
+        np.exp(k, out=k)
+        out[idx] = peak + np.log(k.sum(axis=1))
+    count = n - 1 if Q is None else n
+    return out + (_log_kernel_const(model.bandwidth, m) - np.log(count))
 
 
 def log_density_all(model: KdeModel, queries) -> np.ndarray:

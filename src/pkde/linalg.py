@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import DataError, InvalidInputError, NumericalError
 
 # Relative magnitude below which negative eigenvalues are treated as roundoff.
 _EIG_CLAMP_REL = 1e-10
@@ -64,13 +64,18 @@ def center_columns(X) -> tuple[np.ndarray, np.ndarray]:
 def covariance(X_centered) -> np.ndarray:
     """Sample covariance X'X / (n-1) of an already-centered matrix.
 
-    Symmetrized explicitly so downstream symmetry checks hold exactly.
+    Symmetrized explicitly so downstream symmetry checks hold exactly. Data
+    too large in magnitude for its second moments to fit in float64 raises
+    DataError.
     """
     A = as_matrix(X_centered)
     n = A.shape[0]
     if n < 2:
         raise InvalidInputError("covariance needs at least 2 rows")
-    S = (A.T @ A) / (n - 1)
+    with np.errstate(over="ignore"):
+        S = (A.T @ A) / (n - 1)
+    if not np.all(np.isfinite(S)):
+        raise DataError("covariance overflows float64; rescale the data")
     return 0.5 * (S + S.T)
 
 

@@ -1,11 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pkde.cli import run
-from pkde.datasets import load_csv
+from pkde.datasets import load_csv, write_csv
 
 
 def synth_args(path, **overrides):
@@ -21,6 +22,16 @@ def synth_args(path, **overrides):
     for key, value in args.items():
         argv += [f"--{key}", value]
     return argv + ["-o", str(path)]
+
+
+def scaled_planted(tmp_path, scale):
+    """The default planted set with every value multiplied by scale."""
+    data = tmp_path / "d.csv"
+    assert run(synth_args(data)) == 0
+    ds = load_csv(data, label_column="label")
+    scaled = tmp_path / "scaled.csv"
+    write_csv(replace(ds, X=ds.X * scale), scaled)
+    return scaled
 
 
 class TestSynth:
@@ -103,6 +114,32 @@ class TestDetect:
         )
         assert rc == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_scores_exit_3_no_output(self, tmp_path, capsys):
+        data = scaled_planted(tmp_path, 1e-160)
+        out = tmp_path / "scores.csv"
+        rc = run(
+            [
+                "detect", "-i", str(data), "--label-column", "label",
+                "--contamination", "0.05", "-o", str(out),
+            ]
+        )
+        assert rc == 3
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_covariance_overflow_exit_2(self, tmp_path, capsys):
+        data = scaled_planted(tmp_path, 1e160)
+        rc = run(
+            [
+                "detect", "-i", str(data), "--label-column", "label",
+                "--contamination", "0.05",
+            ]
+        )
+        assert rc == 2
+        assert "covariance overflows" in capsys.readouterr().err
 
     def test_unknown_flag_exit_1(self):
         assert run(["detect", "--frobnicate"]) == 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pkde.datasets import SynthSpec, gen_synthetic
@@ -12,7 +12,7 @@ from pkde.detector import (
     pkde_fit_score,
     top_k_select,
 )
-from pkde.errors import DegenerateDataError, InvalidInputError
+from pkde.errors import DegenerateDataError, InvalidInputError, NumericalError
 from pkde.kde import fit_kde, log_density_all, scott_bandwidth
 from pkde.linalg import covariance
 from pkde.pca import choose_dim, fit_pca, project
@@ -130,6 +130,29 @@ class TestPkdeFitScore:
             self_labels = top_k_select(self_scores, result.k_used)
             assert np.array_equal(result.labels, self_labels)
 
+    @given(
+        st.integers(min_value=10, max_value=2600),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=2600, d=3, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_row_permutation_equivariant(self, n, d, seed):
+        # Kernel sums accumulate in an order set by row position (past 2000
+        # rows, also by the block a row falls in); only rounding may move.
+        rng = np.random.default_rng(seed)
+        rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        X = rng.standard_normal((n, d)) * rng.uniform(0.5, 2.0, d) @ rot
+        perm = rng.permutation(n)
+        cfg = DetectorConfig(contamination=0.05)
+        base = pkde_fit_score(X, cfg)
+        moved = pkde_fit_score(X[perm], cfg)
+        scale = max(np.abs(base.scores).max(), 1.0)
+        assert np.abs(moved.scores - base.scores[perm]).max() <= 1e-12 * scale
+        ranked = np.sort(base.scores)[::-1]
+        if ranked[base.k_used - 1] - ranked[base.k_used] > 1e-9 * scale:
+            assert np.array_equal(moved.labels, base.labels[perm])
+
     def test_constant_data_rejected(self):
         with pytest.raises(DegenerateDataError):
             pkde_fit_score(np.ones((10, 3)), DetectorConfig(contamination=0.1))
@@ -158,6 +181,12 @@ class TestDetect:
     def test_unknown_detector(self):
         with pytest.raises(InvalidInputError):
             detect("bogus", np.eye(3), DetectorConfig(contamination=0.1))
+
+    def test_non_finite_scores_raise(self):
+        # At 1e-160 the bandwidth inverse overflows and every score is NaN.
+        ds = planted()
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            detect("pkde", ds.X * 1e-160, DetectorConfig(contamination=0.05))
 
     def test_all_detectors_label_k_points(self):
         ds = planted(seed=2)

@@ -35,6 +35,25 @@ def brute_force_density(samples, H, query):
     return total / n
 
 
+def shifted_log_density(samples, bw, queries, skip_self=False):
+    """Independent reference for the log paths: per-query quadratic forms
+    from explicit differences, summed as a log-sum-exp shifted by the row's
+    largest term. skip_self drops sample i from query i (leave-one-out)."""
+    samples = np.asarray(samples, dtype=float)
+    n, d = samples.shape
+    count = n - 1 if skip_self else n
+    const = -0.5 * d * math.log(2.0 * math.pi) - 0.5 * bw.log_det_H - math.log(count)
+    out = np.empty(len(queries))
+    for i, q in enumerate(np.asarray(queries, dtype=float)):
+        diffs = samples - q
+        logk = -0.5 * np.einsum("ij,jk,ik->i", diffs, bw.H_inv, diffs)
+        if skip_self:
+            logk[i] = -np.inf
+        peak = logk.max()
+        out[i] = peak + math.log(np.exp(logk - peak).sum()) + const
+    return out
+
+
 def make_bandwidth(H):
     H = np.asarray(H, dtype=float)
     return Bandwidth(
@@ -192,6 +211,20 @@ class TestLogDensityAll:
         dominant = -0.5 * d * math.log(2 * math.pi) - 0.5 * quads.min() - math.log(20)
         assert val == pytest.approx(dominant, abs=1.0)
 
+    def test_far_queries_match_shifted_reference(self):
+        # Queries 50 units out: every kernel term underflows unless shifted.
+        rng = np.random.default_rng(42)
+        X = rng.standard_normal((300, 3))
+        bw = make_bandwidth([[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.6]])
+        model = fit_kde(X, bw)
+        dirs = rng.standard_normal((4, 3))
+        far = 50.0 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        Q = np.vstack([far, X[:3] + 0.1])
+        assert np.linalg.norm(X[:, None] - far, axis=2).min() > 40.0
+        logs = log_density_all(model, Q)
+        assert np.allclose(logs, shifted_log_density(X, bw, Q), rtol=1e-12, atol=0.0)
+        assert logs[:4].max() < -1000.0
+
     def test_normalizes_to_one_1d(self):
         rng = np.random.default_rng(36)
         X = rng.standard_normal((6, 1))
@@ -248,3 +281,26 @@ class TestLogDensityLoo:
         loo = np.exp(log_density_loo(model))
         full = np.exp(log_density_all(model, X))
         assert np.allclose(n * full, (n - 1) * loo + k0, rtol=1e-10, atol=0.0)
+
+    def test_underflowing_rows_match_shifted_reference(self):
+        # The rows at 1e2, 1e3 and 1e4 are so far from all others that each
+        # of their unshifted kernel terms underflows to 0.
+        rng = np.random.default_rng(41)
+        far = [[1e2, 0.0], [0.0, 1e3], [1e4, 1e4]]
+        X = np.vstack([rng.standard_normal((2000, 2)), far])
+        bw = make_bandwidth(np.eye(2) * 0.3)
+        loo = log_density_loo(fit_kde(X, bw))
+        expected = shifted_log_density(X, bw, X, skip_self=True)
+        assert np.allclose(loo, expected, rtol=1e-12, atol=0.0)
+        assert loo[-3:].max() < -1e4
+
+    def test_many_blocks_match_row_by_row(self):
+        # Blocks of 4_000_000 // 3500 = 1142 rows: three full blocks and a
+        # partial fourth, so column sums carry across every block boundary.
+        rng = np.random.default_rng(43)
+        n = 3500
+        X = rng.standard_normal((n, 3)) @ rng.standard_normal((3, 3))
+        bw = scott_bandwidth(np.cov(X.T), n)
+        loo = log_density_loo(fit_kde(X, bw))
+        expected = shifted_log_density(X, bw, X, skip_self=True)
+        assert np.allclose(loo, expected, rtol=1e-12, atol=0.0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pkde.errors import InvalidInputError, NumericalError
+from pkde.datasets import SynthSpec, gen_synthetic
+from pkde.errors import DataError, InvalidInputError, NumericalError
 from pkde.linalg import (
     center_columns,
     covariance,
@@ -65,6 +66,14 @@ class TestCovariance:
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):
             covariance([[1.0, 2.0]])
+
+    def test_overflow_is_data_error(self):
+        ds = gen_synthetic(
+            SynthSpec("gaussian-planted", n_normal=95, n_outlier=5, dim=2, seed=7)
+        )
+        centered, _ = center_columns(ds.X * 1e160)
+        with pytest.raises(DataError):
+            covariance(centered)
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(5)

@@ -28,10 +28,16 @@ class NeighborTable:
 
 
 def _pairwise_distances(X: np.ndarray) -> np.ndarray:
+    # Expand ‖x‖² on X / c, c the power of two just above max |X|: the scaling
+    # is exact, and the squares can neither overflow nor underflow.
+    c = 2.0 ** np.frexp(np.max(np.abs(X)))[1]
+    X = X / c
     sq = np.sum(X * X, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
     np.fill_diagonal(d2, 0.0)
-    return np.sqrt(d2)
+    dist = np.sqrt(d2)
+    dist *= c
+    return dist
 
 
 def knn_table(X, k: int) -> NeighborTable:

@@ -59,6 +59,7 @@ class DetectionResult:
     labels: np.ndarray  # 1 = outlier, exactly k_used ones
     k_used: int
     reduced_dim: int
+    # fit_time covers the whole scorer; score_time only the top-K cut.
     fit_time: float = 0.0
     score_time: float = 0.0
 
@@ -81,12 +82,11 @@ def k_from_contamination(contamination: float, n: int) -> int:
     return math.ceil(contamination * n)
 
 
-def pkde_scores(X, config: DetectorConfig) -> tuple[np.ndarray, int]:
+def _pkde_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
     """Negative log KDE density of every row in the reduced space.
 
     Returns (scores, reduced dimension used).
     """
-    A = as_matrix(X)
     if A.shape[0] < 3:
         raise InvalidInputError(f"need at least 3 rows, got {A.shape[0]}")
     model = fit_pca(A)
@@ -114,39 +114,37 @@ def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
     return detect("pkde", X, config)
 
 
-def _knn_scores(X, config: DetectorConfig) -> tuple[np.ndarray, int]:
-    A = as_matrix(X)
+def _knn_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
     k = min(config.neighbors, A.shape[0] - 1)
     return baselines.knn_dist_score(A, k), A.shape[1]
 
 
-def _lof_scores(X, config: DetectorConfig) -> tuple[np.ndarray, int]:
-    A = as_matrix(X)
+def _lof_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
     k = min(max(config.neighbors, 2), A.shape[0] - 1)
     return baselines.lof_score(A, k), A.shape[1]
 
 
-def _mahalanobis_scores(X, config: DetectorConfig) -> tuple[np.ndarray, int]:
-    A = as_matrix(X)
+def _mahalanobis_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
     return baselines.mahalanobis_score(A), A.shape[1]
 
 
-# detector id -> callable(X, config) -> (scores, effective dimension)
-SCORERS = {
-    "pkde": pkde_scores,
+# detector id -> callable(A, config) -> (scores, effective dimension), where
+# A is the matrix detect() has already checked.
+_SCORERS = {
+    "pkde": _pkde_scores,
     "mahalanobis": _mahalanobis_scores,
     "knn-dist": _knn_scores,
     "lof": _lof_scores,
 }
 
-DETECTOR_IDS = tuple(SCORERS)
+DETECTOR_IDS = tuple(_SCORERS)
 
 
 def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
     """Run the named detector and threshold its scores at the configured
     contamination."""
     try:
-        scorer = SCORERS[name]
+        scorer = _SCORERS[name]
     except KeyError:
         raise InvalidInputError(
             f"unknown detector {name!r}; known: {', '.join(DETECTOR_IDS)}"

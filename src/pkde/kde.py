@@ -113,17 +113,14 @@ def gaussian_kernel(x, bw: Bandwidth) -> float:
 
 
 def density(model: KdeModel, query) -> float:
-    """f(query) by direct summation over all samples (self included when the
-    query is one of them)."""
+    """f(query) by exact summation over all samples (self included when the
+    query is one of them), through the same kernel sum as log_density_all."""
     q = as_vector(query, "query")
     if q.shape[0] != model.d:
         raise InvalidInputError(
             f"query has length {q.shape[0]}, model is {model.d}-dimensional"
         )
-    diffs = model.samples - q
-    quad = np.maximum(np.einsum("ij,jk,ik->i", diffs, model.bandwidth.H_inv, diffs), 0.0)
-    logk = _log_kernel_const(model.bandwidth, model.d) - 0.5 * quad
-    return float(np.mean(np.exp(logk)))
+    return float(np.exp(_log_kernel_sum(model, q[None, :])[0]))
 
 
 def _log_kernel_sum(model: KdeModel, Q: np.ndarray | None) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Dense linear algebra for the detector: centering, covariance, a LAPACK
-eigensolver for symmetric matrices, and the Mahalanobis quadratic form.
+"""Dense linear algebra for the detector: centering, covariance and a LAPACK
+eigensolver for symmetric matrices.
 
 Matrices are plain float64 numpy arrays in row-major order; the validators
 below reject anything non-rectangular or non-finite. All functions are pure.
@@ -113,16 +113,3 @@ def sym_eigen(S) -> SymEigen:
             V[:, j] = -V[:, j]
 
     return SymEigen(eigenvalues=vals, eigenvectors=V)
-
-
-def mahalanobis_sq(x, mu, S_inv) -> float:
-    """Squared Mahalanobis distance (x-mu)' S_inv (x-mu)."""
-    xv = as_vector(x, "x")
-    mv = as_vector(mu, "mu")
-    A = as_matrix(S_inv, "S_inv")
-    if xv.shape != mv.shape or A.shape != (xv.shape[0], xv.shape[0]):
-        raise InvalidInputError(
-            f"dimension mismatch: x {xv.shape}, mu {mv.shape}, S_inv {A.shape}"
-        )
-    d = xv - mv
-    return max(float(d @ A @ d), 0.0)

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detector import DetectorConfig, SCORERS, k_from_contamination, top_k_select
+from .detector import DetectorConfig, detect, k_from_contamination, top_k_select
 from .errors import InvalidInputError
 
 REPORT_FIELDS = (
@@ -41,6 +41,7 @@ class EvalReport:
     fp: int
     fn: int
     tn: int
+    # fit_time covers the whole scorer; score_time only the top-K cut.
     fit_time: float
     score_time: float
 
@@ -120,22 +121,13 @@ def sweep(
     )
     reports: list[EvalReport] = []
     for name in detectors:
-        try:
-            scorer = SCORERS[name]
-        except KeyError:
-            raise InvalidInputError(f"unknown detector {name!r}") from None
-        # Fit once per repeat; contamination only moves the threshold.
-        runs = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            scores, _dim = scorer(dataset.X, base)
-            t1 = time.perf_counter()
-            runs.append((scores, t1 - t0))
+        # Detect once per repeat; contamination only moves the threshold.
+        runs = [detect(name, dataset.X, base) for _ in range(repeats)]
         for c in grid:
-            for scores, fit_time in runs:
-                k = k_from_contamination(c, dataset.n)
+            k = k_from_contamination(c, dataset.n)
+            for result in runs:
                 t1 = time.perf_counter()
-                predicted = top_k_select(scores, k)
+                predicted = top_k_select(result.scores, k)
                 t2 = time.perf_counter()
                 stats = f1_score(predicted, dataset.labels)
                 reports.append(
@@ -143,7 +135,7 @@ def sweep(
                         detector=name,
                         dataset=dataset.name,
                         contamination=c,
-                        fit_time=fit_time,
+                        fit_time=result.fit_time,
                         score_time=t2 - t1,
                         **stats,
                     )
@@ -166,22 +158,3 @@ def reports_to_csv(reports) -> str:
 
 def reports_to_json(reports) -> str:
     return json.dumps([asdict(r) for r in reports], indent=2) + "\n"
-
-
-def summarize_times(reports) -> dict[tuple[str, str], dict[str, float]]:
-    """Mean and median fit/score times per (detector, dataset)."""
-    grouped: dict[tuple[str, str], list[EvalReport]] = {}
-    for r in reports:
-        grouped.setdefault((r.detector, r.dataset), []).append(r)
-    out = {}
-    for key, rs in grouped.items():
-        fits = np.array([r.fit_time for r in rs])
-        scores = np.array([r.score_time for r in rs])
-        totals = fits + scores
-        out[key] = {
-            "mean_fit": float(fits.mean()),
-            "mean_score": float(scores.mean()),
-            "mean_total": float(totals.mean()),
-            "median_total": float(np.median(totals)),
-        }
-    return out

@@ -69,7 +69,8 @@ class TestDetect:
             ]
         )
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["index", "score", "label"]
         predicted = np.array([int(r[2]) for r in rows[1:]])
         truth = load_csv(data, label_column="label").labels
@@ -174,9 +175,11 @@ class TestSweep:
             ]
         )
         assert rc == 0
-        rows = list(csv.reader(report.open()))
+        with report.open() as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 1 + 4  # 2 detectors x 2 grid points
-        plot_rows = list(csv.reader(plot.open()))
+        with plot.open() as fh:
+            plot_rows = list(csv.reader(fh))
         assert plot_rows[0] == ["contamination", "detector", "f1"]
         assert len(plot_rows) == 1 + 4
 
@@ -186,8 +189,26 @@ class TestSweep:
         report = tmp_path / "report.csv"
         rc = run(["sweep", "-i", str(data), "-o", str(report)])
         assert rc == 0
-        rows = list(csv.reader(report.open()))
+        with report.open() as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 1 + 30 * 4
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_scores_exit_3_no_output(self, tmp_path, capsys):
+        data = scaled_planted(tmp_path, 1e-160)
+        report = tmp_path / "report.csv"
+        plot = tmp_path / "plot.csv"
+        rc = run(
+            [
+                "sweep", "-i", str(data), "--detectors", "pkde",
+                "--grid", "0.05", "-o", str(report), "--plot-data", str(plot),
+            ]
+        )
+        assert rc == 3
+        assert not report.exists()
+        assert not plot.exists()
+        assert "non-finite" in capsys.readouterr().err
 
     def test_unlabeled_is_usage_error(self, tmp_path):
         data = tmp_path / "plain.csv"
@@ -210,7 +231,8 @@ class TestBench:
             ]
         )
         assert rc == 0
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["dataset", "pkde", "knn-dist"]
         assert len(rows) == 2
         assert float(rows[1][1]) > 0.0

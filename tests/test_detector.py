@@ -188,6 +188,19 @@ class TestDetect:
         with np.errstate(all="ignore"), pytest.raises(NumericalError):
             detect("pkde", ds.X * 1e-160, DetectorConfig(contamination=0.05))
 
+    def test_neighbor_baselines_scale_free(self):
+        # The squared-norm expansion would overflow at 1e160 and underflow
+        # at 1e-160 without its power-of-two rescaling.
+        ds = planted()
+        cfg = DetectorConfig(contamination=0.05)
+        unit = detect("knn-dist", ds.X, cfg).scores
+        for scale in (1e160, 1e-160):
+            for name in ("knn-dist", "lof"):
+                result = detect(name, ds.X * scale, cfg)
+                assert np.array_equal(result.labels, ds.labels)
+            scores = detect("knn-dist", ds.X * scale, cfg).scores
+            np.testing.assert_allclose(scores, unit * scale, rtol=1e-12, atol=0)
+
     def test_all_detectors_label_k_points(self):
         ds = planted(seed=2)
         cfg = DetectorConfig(contamination=0.05)

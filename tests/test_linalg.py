@@ -6,7 +6,6 @@ from pkde.errors import DataError, InvalidInputError, NumericalError
 from pkde.linalg import (
     center_columns,
     covariance,
-    mahalanobis_sq,
     sym_eigen,
 )
 
@@ -149,27 +148,3 @@ class TestSymEigen:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalError, match="did not converge"):
             sym_eigen(np.eye(3))
-
-
-class TestMahalanobisSq:
-    def test_zero_displacement(self):
-        assert mahalanobis_sq([1.0, 2.0], [1.0, 2.0], np.eye(2)) == 0.0
-
-    def test_euclidean_reduction(self):
-        assert mahalanobis_sq([1.0, 0.0], [0.0, 0.0], np.eye(2)) == 1.0
-
-    def test_triple_loop_oracle(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal(3)
-        mu = rng.standard_normal(3)
-        A = rng.standard_normal((5, 3))
-        S_inv = A.T @ A  # symmetric PSD stand-in for an inverse covariance
-        expected = 0.0
-        for a in range(3):
-            for b in range(3):
-                expected += (x[a] - mu[a]) * S_inv[a, b] * (x[b] - mu[b])
-        assert abs(mahalanobis_sq(x, mu, S_inv) - expected) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            mahalanobis_sq([1.0, 2.0], [1.0], np.eye(2))

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pkde.datasets import SynthSpec, gen_synthetic
-from pkde.errors import InvalidInputError
+from pkde.errors import InvalidInputError, NumericalError
 from pkde.metrics import (
     EvalReport,
     REPORT_FIELDS,
@@ -14,7 +15,6 @@ from pkde.metrics import (
     f1_score,
     reports_to_csv,
     reports_to_json,
-    summarize_times,
     sweep,
 )
 
@@ -103,6 +103,12 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             sweep(["nope"], planted_dataset, [0.1])
 
+    def test_non_finite_scores_raise(self, planted_dataset):
+        # At 1e-160 the bandwidth inverse overflows and every score is NaN.
+        scaled = replace(planted_dataset, X=planted_dataset.X * 1e-160)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError):
+            sweep(["pkde"], scaled, [0.05])
+
     def test_default_grid(self):
         grid = default_grid()
         assert len(grid) == 30
@@ -127,11 +133,3 @@ class TestSerialization:
         assert parsed[0]["detector"] == reports[0].detector
         assert parsed[0]["f1"] == reports[0].f1
         assert set(parsed[0]) == set(REPORT_FIELDS)
-
-    def test_summarize_times(self, planted_dataset):
-        reports = sweep(["pkde"], planted_dataset, [0.05], repeats=3)
-        summary = summarize_times(reports)
-        key = ("pkde", planted_dataset.name)
-        assert key in summary
-        assert summary[key]["mean_total"] > 0.0
-        assert summary[key]["median_total"] > 0.0

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDuplicatesError, InvalidInputError
-from .linalg import as_matrix, center_columns, covariance, sym_eigen
+from .linalg import as_matrix
+from .pca import fit_pca, project
 
 # Condition-number bound past which the Mahalanobis covariance is ridged.
 _COND_MAX = 1e12
@@ -87,24 +88,21 @@ def mahalanobis_score(X) -> np.ndarray:
     """Squared Mahalanobis distance of each point to the global mean, using
     the covariance of the full data (outliers included -- a global method).
 
-    Near-singular covariance is ridged by eps * trace/d on the diagonal so
-    the score is always defined.
+    Summed in the PCA eigenbasis, sum_j (z_j^2 / lambda_j), so the inverse
+    covariance is never formed. Near-singular covariance is ridged by
+    eps * trace/d on every eigenvalue so the score is always defined.
     """
     A = as_matrix(X)
     if A.shape[0] < 2:
         raise InvalidInputError("need at least 2 rows")
-    centered, _ = center_columns(A)
-    S = covariance(centered)
-    d = S.shape[0]
-    eig = sym_eigen(S)
-    vals = eig.eigenvalues
+    model = fit_pca(A)
+    d = A.shape[1]
+    vals = model.eigenvalues
     lead = float(vals[0]) if vals[0] > 0.0 else 0.0
     tail = float(vals[-1])
     if lead == 0.0 or tail <= 0.0 or lead / tail > _COND_MAX:
-        trace = float(np.trace(S))
+        trace = model.total_variance
         # S + ridge*I has the same eigenvectors, with every eigenvalue shifted.
         vals = vals + _RIDGE_EPS * (trace / d if trace > 0.0 else 1.0)
-    V = eig.eigenvectors
-    S_inv = (V / vals) @ V.T
-    quad = np.einsum("ij,jk,ik->i", centered, S_inv, centered)
-    return np.maximum(quad, 0.0)
+    Z = project(model, A, d) / np.sqrt(vals)
+    return np.sum(Z * Z, axis=1)

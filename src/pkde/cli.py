@@ -9,13 +9,14 @@ never leaves a partial output behind.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import os
 import sys
 
 from . import metrics
-from .datasets import SYNTH_KINDS, SynthSpec, gen_synthetic, load_csv, write_csv
+from .datasets import (
+    SYNTH_KINDS, SynthSpec, csv_text, gen_synthetic, load_csv, write_csv,
+)
 from .detector import DETECTOR_IDS, DetectorConfig, detect
 from .errors import DataError, InvalidInputError, NumericalError
 
@@ -96,12 +97,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path) pair of one command, path None meaning stdout.
+    Files go first; if one fails, those already written are removed."""
+    written = []
+    try:
+        for text, path in (out for out in outputs if out[1] is not None):
+            with open(path, "w", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except BaseException:
+        for path in written:
+            os.remove(path)
+        raise
+    sys.stdout.write("".join(text for text, path in outputs if path is None))
 
 
 def _load(path, args, label_column):
@@ -159,13 +168,9 @@ def _cmd_detect(args) -> int:
             indent=2,
         ) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "score", "label"])
-        for i, (s, l) in enumerate(zip(result.scores, result.labels)):
-            writer.writerow([i, repr(float(s)), int(l)])
-        text = buf.getvalue()
-    _emit(text, args.output)
+        points = enumerate(zip(result.scores.tolist(), result.labels.tolist()))
+        text = csv_text(["index", "score", "label"], ((i, *p) for i, p in points))
+    _emit((text, args.output))
     return EXIT_OK
 
 
@@ -194,17 +199,12 @@ def _cmd_sweep(args) -> int:
         text = metrics.reports_to_json(reports)
     else:
         text = metrics.reports_to_csv(reports)
-    plot_text = None
+    outputs = [(text, args.output)]
     if args.plot_data is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["contamination", "detector", "f1"])
-        for r in reports:
-            writer.writerow([repr(r.contamination), r.detector, repr(r.f1)])
-        plot_text = buf.getvalue()
-    _emit(text, args.output)
-    if plot_text is not None:
-        _emit(plot_text, args.plot_data)
+        plot_rows = ((r.contamination, r.detector, r.f1) for r in reports)
+        plot_text = csv_text(["contamination", "detector", "f1"], plot_rows)
+        outputs.append((plot_text, args.plot_data))
+    _emit(*outputs)
     return EXIT_OK
 
 
@@ -225,13 +225,9 @@ def _cmd_bench(args) -> int:
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["dataset"] + names)
-        for row in rows:
-            writer.writerow([row["dataset"]] + [repr(row[n]) for n in names])
-        text = buf.getvalue()
-    _emit(text, args.output)
+        table = ([row["dataset"]] + [row[n] for n in names] for row in rows)
+        text = csv_text(["dataset"] + names, table)
+    _emit((text, args.output))
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ bit-reproducible for a fixed numpy version.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -124,34 +125,40 @@ def _parse_cell(text: str, row: int, col: int) -> float:
     return value
 
 
+def _parse_row(row: list[str], width: int, rownum: int) -> list[float]:
+    if len(row) != width:
+        raise ParseError(f"row {rownum}: expected {width} cells, got {len(row)}")
+    return [_parse_cell(cell, rownum, j) for j, cell in enumerate(row)]
+
+
 def load_csv(path, has_header: bool = True, label_column: str | None = None,
              name: str | None = None) -> Dataset:
     """Load a rectangular numeric CSV, optionally splitting off a {0,1}
-    label column selected by header name or by "last"."""
+    label column selected by header name or by "last". Cells are parsed in
+    one numpy call; only if that fails are the rows walked in order to name
+    the first ragged row or bad cell."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in _rows_iter(reader)]
+        rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
+    rows = [row for row in rows if any(row)]
     if not rows:
         raise InvalidInputError(f"{path}: file is empty")
 
     header: list[str] | None = None
     if has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
+        header, rows = rows[0], rows[1:]
         if not rows:
             raise InvalidInputError(f"{path}: no data rows after the header")
 
-    width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        # 1-based row numbers counting the header line
-        rownum = i + (2 if has_header else 1)
-        if len(row) != width:
-            raise ParseError(
-                f"row {rownum}: expected {width} cells, got {len(row)}"
-            )
-        for j, cell in enumerate(row):
-            data[i, j] = _parse_cell(cell, rownum, j)
+    try:
+        data = np.array(rows, dtype=np.float64)
+    except ValueError:
+        data = None
+    if data is None or not np.all(np.isfinite(data)):
+        first = 2 if has_header else 1  # 1-based row numbers counting the header
+        data = np.array(
+            [_parse_row(row, len(rows[0]), i) for i, row in enumerate(rows, first)]
+        )
+    width = data.shape[1]
 
     label_idx: int | None = None
     if label_column is not None:
@@ -190,23 +197,24 @@ def load_csv(path, has_header: bool = True, label_column: str | None = None,
     )
 
 
-def _rows_iter(reader):
-    for row in reader:
-        if row and any(cell.strip() for cell in row):
-            yield [cell.strip() for cell in row]
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and data rows, "\n"-terminated; floats are
+    written as their shortest round-trip repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as CSV with shortest-round-trip floats; labels, when
-    present, go to a final column named "label"."""
+    """Write a dataset as CSV through `csv_text`, rows from X.tolist();
+    labels, when present, go to a final column named "label"."""
+    header = [f"f{j}" for j in range(dataset.d)]
+    rows = dataset.X.tolist()
+    if dataset.labels is not None:
+        header.append("label")
+        rows = [row + [int(label)] for row, label in zip(rows, dataset.labels)]
+    text = csv_text(header, rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = [f"f{j}" for j in range(dataset.d)]
-        if dataset.labels is not None:
-            header.append("label")
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.X[i]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[i])))
-            writer.writerow(row)
+        fh.write(text)

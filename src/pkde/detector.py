@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
 from .kde import fit_kde, log_density_loo, scott_bandwidth
-from .linalg import as_matrix, covariance
+from .linalg import as_matrix
 from .pca import choose_dim, fit_pca, project
 
 # Components with eigenvalue below this fraction of the leading one are
@@ -100,7 +100,7 @@ def _pkde_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
     rank = int(np.sum(model.eigenvalues >= _RANK_REL * model.eigenvalues[0]))
     m = min(m, max(rank, 1))
     reduced = project(model, A, m)
-    S_red = covariance(reduced)
+    S_red = np.diag(model.eigenvalues[:m])  # the covariance of the projection
     bw = scott_bandwidth(S_red, A.shape[0], rule=config.bandwidth_rule)
     kde = fit_kde(reduced, bw)
     # Rank by the leave-one-out density: same label set as the self-inclusive

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .datasets import csv_text
 from .detector import DetectorConfig, detect, k_from_contamination, top_k_select
 from .errors import InvalidInputError
 
@@ -145,15 +144,9 @@ def sweep(
 
 def reports_to_csv(reports) -> str:
     """One CSV row per report, columns in REPORT_FIELDS order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
-    for r in reports:
-        d = asdict(r)
-        writer.writerow(
-            [repr(v) if isinstance(v, float) else str(v) for v in (d[f] for f in REPORT_FIELDS)]
-        )
-    return buf.getvalue()
+    return csv_text(
+        REPORT_FIELDS, ([getattr(r, f) for f in REPORT_FIELDS] for r in reports)
+    )
 
 
 def reports_to_json(reports) -> str:

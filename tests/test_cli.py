@@ -210,6 +210,20 @@ class TestSweep:
         assert not plot.exists()
         assert "non-finite" in capsys.readouterr().err
 
+    def test_bad_plot_path_exit_2_no_output(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        argv = [
+            "sweep", "-i", str(data), "--detectors", "pkde", "--grid", "0.05",
+            "--plot-data", str(tmp_path / "nodir" / "f1.csv"),
+        ]
+        report = tmp_path / "report.csv"
+        assert run(argv + ["-o", str(report)]) == 2
+        assert not report.exists()
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unlabeled_is_usage_error(self, tmp_path):
         data = tmp_path / "plain.csv"
         data.write_text("a,b\n1,2\n3,4\n5,6\n")

@@ -125,6 +125,31 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path)
 
+    def test_blank_and_whitespace_rows_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n\n1,2\n   \n , \n3,4\n\n")
+        ds = load_csv(path)
+        assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_quoted_and_padded_cells(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('a,b\n"1", 2 \n')
+        assert load_csv(path).X.tolist() == [[1.0, 2.0]]
+
+    def test_first_bad_cell_wins_over_later_ragged_row(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,x\n3\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert str(exc.value) == "row 2: cell 1 is not numeric: 'x'"
+
+    def test_overflowing_cell_not_finite(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,1e400\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert str(exc.value) == "row 2: cell 1 is not finite: '1e400'"
+
     def test_non_binary_label(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,label\n1,2\n")

@@ -201,6 +201,18 @@ class TestDetect:
             scores = detect("knn-dist", ds.X * scale, cfg).scores
             np.testing.assert_allclose(scores, unit * scale, rtol=1e-12, atol=0)
 
+    def test_mahalanobis_scale_free(self):
+        # Summed in the PCA eigenbasis, the score never forms the inverse
+        # covariance, so subnormal eigenvalues cannot overflow it.
+        ds = planted()
+        cfg = DetectorConfig(contamination=0.05)
+        unit = detect("mahalanobis", ds.X, cfg).scores
+        for scale in (1e150, 1e-150, 1e-155):
+            scores = detect("mahalanobis", ds.X * scale, cfg).scores
+            np.testing.assert_allclose(scores, unit, rtol=1e-12, atol=0)
+        result = detect("mahalanobis", ds.X * 1e-160, cfg)
+        assert np.array_equal(result.labels, ds.labels)
+
     def test_all_detectors_label_k_points(self):
         ds = planted(seed=2)
         cfg = DetectorConfig(contamination=0.05)

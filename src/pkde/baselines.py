@@ -1,6 +1,6 @@
 """Reference detectors for the comparison harness: kNN-distance, LOF and a
-global Mahalanobis model. All use exact brute-force neighbor search; the
-target datasets are small enough that correctness beats speed.
+global Mahalanobis model. kNN and LOF share one exact neighbor table, built
+block-wise by brute force so that memory stays O(block * n).
 """
 
 from __future__ import annotations
@@ -28,33 +28,45 @@ class NeighborTable:
     distances: np.ndarray  # (n, k) float
 
 
-def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    # Expand ‖x‖² on X / c, c the power of two just above max |X|: the scaling
-    # is exact, and the squares can neither overflow nor underflow.
-    c = 2.0 ** np.frexp(np.max(np.abs(X)))[1]
-    X = X / c
-    sq = np.sum(X * X, axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0)
-    np.fill_diagonal(d2, 0.0)
-    dist = np.sqrt(d2)
-    dist *= c
-    return dist
-
-
 def knn_table(X, k: int) -> NeighborTable:
-    """Exact O(n^2) k-nearest-neighbor table."""
+    """Exact k-nearest-neighbor table, built one block of rows at a time in
+    O(block * n) memory; no n x n matrix is formed.
+
+    Blocks take 4_000_000 // n rows, as in the kernel sum. Each row keeps
+    every column at or below its k-th distance, in index order, and a stable
+    sort by distance then picks k of them, so ties at the boundary go to the
+    lower index exactly as a full stable sort would.
+    """
     A = as_matrix(X)
     n = A.shape[0]
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k={k} out of range [1, {n - 1}]")
-    dist = _pairwise_distances(A)
-    np.fill_diagonal(dist, np.inf)  # self never a neighbor
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    return NeighborTable(
-        k=k,
-        indices=order,
-        distances=np.take_along_axis(dist, order, axis=1),
-    )
+    # Expand ‖x‖² on A / c, c the power of two just above max |A|: the scaling
+    # is exact, and the squares can neither overflow nor underflow.
+    c = 2.0 ** np.frexp(np.max(np.abs(A)))[1]
+    A = A / c
+    sq = np.sum(A * A, axis=1)
+    indices = np.empty((n, k), dtype=np.intp)
+    distances = np.empty((n, k))
+    chunk = max(1, int(4_000_000 // n))
+    buf = np.empty(min(chunk, n) * n)
+    for s in range(0, n, chunk):
+        e = min(s + chunk, n)
+        dist = buf[: (e - s) * n].reshape(e - s, n)
+        np.matmul(A[s:e], A.T, out=dist)
+        dist *= -2.0
+        dist += sq
+        dist += sq[s:e, None]
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        dist[np.arange(e - s), np.arange(s, e)] = np.inf  # self never a neighbor
+        for i, row in enumerate(dist, start=s):
+            cand = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1])
+            keep = cand[np.argsort(row[cand], kind="stable")[:k]]
+            indices[i] = keep
+            distances[i] = row[keep]
+    distances *= c
+    return NeighborTable(k=k, indices=indices, distances=distances)
 
 
 def knn_dist_score(X, k: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Command-line entry point: generate synthetic data, run a detector,
 sweep contamination levels, and benchmark timings.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-Outputs are fully computed before any file is written, so a failing run
-never leaves a partial output behind.
+Exit codes: 0 success, 1 usage error, 2 data error (out of memory
+included), 3 numerical failure. Outputs are fully computed before any file
+is written, so a failing run never leaves a partial output behind.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def run(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, OSError) as exc:
+    except (DataError, FileNotFoundError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

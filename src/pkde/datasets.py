@@ -182,7 +182,7 @@ def load_csv(path, has_header: bool = True, label_column: str | None = None,
         if not np.all(np.isin(raw, (0.0, 1.0))):
             bad = np.nonzero(~np.isin(raw, (0.0, 1.0)))[0][0]
             raise ParseError(
-                f"label column has non-binary value {raw[bad]!r} at data row "
+                f"label column has non-binary value {float(raw[bad])} at data row "
                 f"{bad + 1}"
             )
         labels = raw.astype(np.int64)

@@ -3,10 +3,17 @@ eigensolver for symmetric matrices.
 
 Matrices are plain float64 numpy arrays in row-major order; the validators
 below reject anything non-rectangular or non-finite. All functions are pure.
+covariance and sym_eigen run their BLAS/LAPACK call on one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +24,55 @@ from .errors import DataError, InvalidInputError, NumericalError
 _EIG_CLAMP_REL = 1e-10
 
 _SYMMETRY_TOL = 1e-10
+
+# Guards the read-set-restore of the process-wide BLAS thread count.
+_PIN_LOCK = threading.RLock()
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
+    when this numpy build bundles none. Looked up on first use, not at import.
+    """
+    pattern = os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+        "libscipy_openblas64_*.so",
+    )
+    try:
+        lib = ctypes.CDLL(sorted(glob.glob(pattern))[0])
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS to one thread inside the block.
+
+    Threaded OpenBLAS stalls small calls while its worker thread wakes. On
+    a shared 2-core VM, a process's first eigh of a 103x103 matrix took
+    about 0.2 s where one thread takes 2 ms, and after an idle spell a
+    2417x103 covariance took 55-75 ms against 2 ms. The old count comes back
+    even when the block raises, and calls outside the block (the kernel-sum
+    GEMMs) keep their threads. Without the bundled OpenBLAS this does
+    nothing.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _PIN_LOCK:
+        old = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(old)
 
 
 def as_matrix(X, name: str = "matrix") -> np.ndarray:
@@ -72,7 +128,7 @@ def covariance(X_centered) -> np.ndarray:
     n = A.shape[0]
     if n < 2:
         raise InvalidInputError("covariance needs at least 2 rows")
-    with np.errstate(over="ignore"):
+    with _one_blas_thread(), np.errstate(over="ignore"):
         S = (A.T @ A) / (n - 1)
     if not np.all(np.isfinite(S)):
         raise DataError("covariance overflows float64; rescale the data")
@@ -80,7 +136,8 @@ def covariance(X_centered) -> np.ndarray:
 
 
 def sym_eigen(S) -> SymEigen:
-    """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``).
+    """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``),
+    run on one BLAS thread.
 
     Deterministic: identical input yields bit-identical output. Negative
     eigenvalues within roundoff of zero (relative to the trace) are clamped
@@ -96,7 +153,8 @@ def sym_eigen(S) -> SymEigen:
 
     trace = float(np.trace(A))
     try:
-        vals, V = np.linalg.eigh(0.5 * (A + A.T))
+        with _one_blas_thread():
+            vals, V = np.linalg.eigh(0.5 * (A + A.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigendecomposition failed: {exc}") from exc
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,17 @@ def brute_neighbors(X, k):
             indices[i, col] = j
             distances[i, col] = d
     return indices, distances
+
+
+def dense_neighbors(X, k):
+    """Dense reference: the whole n x n distance matrix, each row sorted by
+    a stable argsort, so ties go to the lower index."""
+    X = np.asarray(X, dtype=float)
+    sq = np.sum(X * X, axis=1)
+    dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0))
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
 
 
 class TestKnnTable:
@@ -70,6 +83,46 @@ class TestKnnTable:
     def test_k_out_of_range(self, k):
         with pytest.raises(InvalidInputError):
             knn_table(np.zeros((10, 2)) + np.arange(10)[:, None], k)
+
+    def test_two_blocks_match_dense_reference(self):
+        # 4_000_000 // 2100 = 1904 rows per block: rows 1904.. form a second block
+        rng = np.random.default_rng(50)
+        X = rng.standard_normal((2100, 5))
+        table = knn_table(X, 10)
+        idx, dist = dense_neighbors(X, 10)
+        assert np.array_equal(table.indices, idx)
+        assert np.abs(table.distances - dist).max() <= 1e-12 * dist.max()
+
+    def test_grid_ties_and_duplicates_across_block_edge(self):
+        # About two points per cell of a 10^3 grid: duplicates at distance 0,
+        # then a shell of ties at distance 1 around the k-th neighbor. Integer
+        # coordinates make every distance exact, so ties are true ties.
+        rng = np.random.default_rng(51)
+        X = rng.integers(0, 10, size=(2100, 3)).astype(float)
+        X[1904] = X[1903]  # duplicate pair split by the block edge
+        X[2099] = X[0]
+        X[1905] = X[1903] + [1.0, 0.0, 0.0]
+        table = knn_table(X, 10)
+        sq = np.sum(X * X, axis=1)
+        d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)  # exact on integers
+        np.fill_diagonal(d2, np.inf)
+        idx = np.argsort(d2, axis=1, kind="stable")[:, :10]
+        kth = np.take_along_axis(d2, idx, axis=1)[:, -1]
+        assert (np.sum(d2 <= kth[:, None], axis=1) > 10).sum() > 1000
+        assert np.array_equal(table.indices, idx)
+        exact = np.sqrt(np.take_along_axis(d2, idx, axis=1))
+        assert np.array_equal(table.distances, exact)
+
+    def test_peak_memory_below_half_dense_matrix(self):
+        rng = np.random.default_rng(52)
+        X = rng.standard_normal((3000, 4))
+        tracemalloc.start()
+        try:
+            knn_table(X, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 3000**2 / 2
 
 
 class TestKnnDistScore:

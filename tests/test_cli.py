@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pkde import detector
 from pkde.cli import run
 from pkde.datasets import load_csv, write_csv
 
@@ -141,6 +142,19 @@ class TestDetect:
         )
         assert rc == 2
         assert "covariance overflows" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_2_no_output(self, tmp_path, capsys, monkeypatch):
+        def exhausted(A, config):
+            raise MemoryError("Unable to allocate 3.09 GiB")
+
+        monkeypatch.setitem(detector._SCORERS, "pkde", exhausted)
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        out = tmp_path / "scores.csv"
+        rc = run(["detect", "-i", str(data), "--contamination", "0.05", "-o", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "data error: Unable to allocate" in capsys.readouterr().err
 
     def test_unknown_flag_exit_1(self):
         assert run(["detect", "--frobnicate"]) == 1

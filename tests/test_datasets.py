@@ -156,6 +156,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path, label_column="label")
 
+    def test_non_binary_label_message(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,label\n1,2\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(path, label_column="label")
+        assert str(exc.value) == "label column has non-binary value 2.0 at data row 1"
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(LABELED_CSV)

@@ -1,6 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 
+from pkde import linalg
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.errors import DataError, InvalidInputError, NumericalError
 from pkde.linalg import (
@@ -148,3 +151,65 @@ class TestSymEigen:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalError, match="did not converge"):
             sym_eigen(np.eye(3))
+
+
+@pytest.fixture
+def fresh_blas_lookup():
+    linalg._blas_thread_calls.cache_clear()
+    yield
+    linalg._blas_thread_calls.cache_clear()
+
+
+def blas_threads():
+    calls = linalg._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy does not bundle scipy-openblas")
+    return calls[0]
+
+
+class TestBlasThreadPin:
+    def test_one_thread_inside_count_restored_after(self, monkeypatch):
+        get = blas_threads()
+        before = get()
+        inside = []
+        eigh = np.linalg.eigh
+
+        def spy(A):
+            inside.append(get())
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        sym_eigen(np.diag([3.0, 2.0, 1.0]))
+        assert inside == [1]
+        assert get() == before
+
+    def test_count_restored_when_eigh_raises(self, monkeypatch):
+        get = blas_threads()
+        before = get()
+
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            sym_eigen(np.eye(3))
+        assert get() == before
+
+    def test_covariance_count_restored(self):
+        get = blas_threads()
+        before = get()
+        rng = np.random.default_rng(13)
+        covariance(center_columns(rng.standard_normal((300, 40)))[0])
+        assert get() == before
+
+    def test_missing_symbol_same_eigenpairs(self, monkeypatch, fresh_blas_lookup):
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((300, 103))
+        S = covariance(center_columns(A)[0])
+        pinned = sym_eigen(S)
+        linalg._blas_thread_calls.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        unpinned = sym_eigen(S)
+        assert linalg._blas_thread_calls() is None
+        assert np.array_equal(pinned.eigenvalues, unpinned.eigenvalues)
+        assert np.array_equal(pinned.eigenvectors, unpinned.eigenvectors)

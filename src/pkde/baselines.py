@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDuplicatesError, InvalidInputError
-from .linalg import as_matrix
+from .linalg import as_matrix, pow2_scale, row_blocks
 from .pca import fit_pca, project
 
 # Condition-number bound past which the Mahalanobis covariance is ridged.
@@ -32,26 +32,22 @@ def knn_table(X, k: int) -> NeighborTable:
     """Exact k-nearest-neighbor table, built one block of rows at a time in
     O(block * n) memory; no n x n matrix is formed.
 
-    Blocks take 4_000_000 // n rows, as in the kernel sum. Each row keeps
-    every column at or below its k-th distance, in index order, and a stable
-    sort by distance then picks k of them, so ties at the boundary go to the
-    lower index exactly as a full stable sort would.
+    Blocks come from linalg.row_blocks, as in the kernel sum, and run on its
+    worker threads. Each row keeps every column at or below its k-th
+    distance, in index order, and a stable sort by distance then picks k of
+    them, so ties at the boundary go to the lower index exactly as a full
+    stable sort would. Every row is found alone, so the table does not
+    depend on the block size.
     """
     A = as_matrix(X)
     n = A.shape[0]
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k={k} out of range [1, {n - 1}]")
-    # Expand ‖x‖² on A / c, c the power of two just above max |A|: the scaling
-    # is exact, and the squares can neither overflow nor underflow.
-    c = 2.0 ** np.frexp(np.max(np.abs(A)))[1]
-    A = A / c
+    # Expanding ‖x‖² on the exactly rescaled data cannot overflow or underflow.
+    A, p = pow2_scale(A)
     sq = np.sum(A * A, axis=1)
-    indices = np.empty((n, k), dtype=np.intp)
-    distances = np.empty((n, k))
-    chunk = max(1, int(4_000_000 // n))
-    buf = np.empty(min(chunk, n) * n)
-    for s in range(0, n, chunk):
-        e = min(s + chunk, n)
+
+    def block(s, e, buf):
         dist = buf[: (e - s) * n].reshape(e - s, n)
         np.matmul(A[s:e], A.T, out=dist)
         dist *= -2.0
@@ -60,12 +56,18 @@ def knn_table(X, k: int) -> NeighborTable:
         np.maximum(dist, 0.0, out=dist)
         np.sqrt(dist, out=dist)
         dist[np.arange(e - s), np.arange(s, e)] = np.inf  # self never a neighbor
-        for i, row in enumerate(dist, start=s):
+        indices = np.empty((e - s, k), dtype=np.intp)
+        for i, row in enumerate(dist):
             cand = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1])
-            keep = cand[np.argsort(row[cand], kind="stable")[:k]]
-            indices[i] = keep
-            distances[i] = row[keep]
-    distances *= c
+            indices[i] = cand[np.argsort(row[cand], kind="stable")[:k]]
+        return indices, np.take_along_axis(dist, indices, axis=1)
+
+    indices = np.empty((n, k), dtype=np.intp)
+    distances = np.empty((n, k))
+    for s, e, (idx, dist) in row_blocks(n, n, block):
+        indices[s:e] = idx
+        distances[s:e] = dist
+    np.ldexp(distances, p, out=distances)
     return NeighborTable(k=k, indices=indices, distances=distances)
 
 
@@ -100,11 +102,13 @@ def mahalanobis_score(X) -> np.ndarray:
     """Squared Mahalanobis distance of each point to the global mean, using
     the covariance of the full data (outliers included -- a global method).
 
-    Summed in the PCA eigenbasis, sum_j (z_j^2 / lambda_j), so the inverse
-    covariance is never formed. Near-singular covariance is ridged by
-    eps * trace/d on every eigenvalue so the score is always defined.
+    The data is first rescaled by linalg.pow2_scale, so its covariance
+    neither overflows nor underflows, then summed in the PCA eigenbasis,
+    sum_j (z_j^2 / lambda_j), so the inverse covariance is never formed.
+    Near-singular covariance is ridged by eps * trace/d on every eigenvalue
+    so the score is always defined.
     """
-    A = as_matrix(X)
+    A, _ = pow2_scale(as_matrix(X))
     if A.shape[0] < 2:
         raise InvalidInputError("need at least 2 rows")
     model = fit_pca(A)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBandwidthError
-from .linalg import as_matrix, as_vector
+from .linalg import _one_blas_thread, as_matrix, as_vector, row_blocks
 
 # Below this Cholesky pivot, relative to trace(H), the bandwidth is singular.
 _SINGULAR_REL = 1e-12
@@ -81,7 +81,8 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     factor = float(n) ** (-1.0 / (d + 4))
     scale = factor * factor if rule == "scott-squared" else factor
     H = 0.5 * scale * (A + A.T)
-    H_inv, log_det = _spd_inverse_logdet(H)
+    with _one_blas_thread():
+        H_inv, log_det = _spd_inverse_logdet(H)
     return Bandwidth(H=H, H_inv=H_inv, log_det_H=log_det, scott_factor=scale)
 
 
@@ -133,15 +134,16 @@ def _log_kernel_sum(model: KdeModel, Q: np.ndarray | None) -> np.ndarray:
 
     The norms ride in the GEMM: samples are lifted to [z, 1, -‖z‖²/2] and
     query rows to [z, -‖z‖²/2, 1], so one product gives -‖z_q - z_i‖²/2.
-    Rows go in blocks of 4_000_000 // n through one buffer, exponentiated in
-    place and summed unshifted. With Q=None the matrix is symmetric, so block
-    [s, e) meets only columns [s, n): its row sums go to rows [s, e), and its
-    column sums past the block go to rows [e, n), which covers each pair once.
-    A row sum below _UNDERFLOW_SUM (or NaN) may have lost terms to underflow;
-    such rows are summed again exactly, shifted by their largest term.
+    Rows go in linalg.row_blocks blocks, each exponentiated in place in its
+    worker's buffer and summed unshifted. With Q=None the matrix is
+    symmetric, so block [s, e) meets only columns [s, n): its row sums go to
+    rows [s, e), and its column sums past the block go to rows [e, n), which
+    covers each pair once. Both are added in block order, so the result does
+    not depend on which worker ran which block. A row sum below
+    _UNDERFLOW_SUM (or NaN) may have lost terms to underflow; such rows are
+    summed again exactly, shifted by their largest term.
     """
     n, m = model.n, model.d
-    W = np.linalg.cholesky(model.bandwidth.H_inv)
     shift = model.samples.mean(axis=0)
 
     def lift(X, h):
@@ -152,32 +154,28 @@ def _log_kernel_sum(model: KdeModel, Q: np.ndarray | None) -> np.ndarray:
         out[:, h] = -0.5 * np.einsum("ij,ij->i", out[:, :m], out[:, :m])
         return out
 
-    B = lift(model.samples, m + 1)
+    # Every BLAS call here is pinned too: a threaded one would wake OpenBLAS
+    # threads that spin on the cores the block workers need.
+    with _one_blas_thread():
+        W = np.linalg.cholesky(model.bandwidth.H_inv)
+        B = lift(model.samples, m + 1)
     swap = np.r_[:m, m + 1, m]
 
     def rows(idx):
         return B[idx][:, swap] if Q is None else lift(Q[idx], m)
 
-    nq = n if Q is None else Q.shape[0]
-    chunk = max(1, int(4_000_000 // n))
-    buf = np.empty(min(chunk, nq) * n)
-    sums = np.zeros(nq)
-    for s in range(0, nq, chunk):
-        e = min(s + chunk, nq)
+    def block_sums(s, e, buf):
         c = s if Q is None else 0
         k = buf[: (e - s) * (n - c)].reshape(e - s, n - c)
         np.matmul(rows(slice(s, e)), B[c:].T, out=k)
         np.exp(k, out=k)
         if Q is None:
             np.fill_diagonal(k, 0.0)
-            sums[e:] += k[:, e - s :].sum(axis=0)
-        sums[s:e] += k.sum(axis=1)
+            return k.sum(axis=1), k[:, e - s :].sum(axis=0)
+        return k.sum(axis=1), None
 
-    redo = np.flatnonzero(~(sums >= _UNDERFLOW_SUM))
-    sums[redo] = 1.0
-    out = np.log(sums, out=sums)
-    for s in range(0, redo.size, chunk):
-        idx = redo[s : s + chunk]
+    def shifted_sums(s, e, buf):
+        idx = redo[s:e]
         k = buf[: idx.size * n].reshape(idx.size, n)
         np.matmul(rows(idx), B.T, out=k)
         np.minimum(k, 0.0, out=k)
@@ -186,7 +184,20 @@ def _log_kernel_sum(model: KdeModel, Q: np.ndarray | None) -> np.ndarray:
         peak = k.max(axis=1)
         k -= peak[:, None]
         np.exp(k, out=k)
-        out[idx] = peak + np.log(k.sum(axis=1))
+        return peak + np.log(k.sum(axis=1))
+
+    nq = n if Q is None else Q.shape[0]
+    sums = np.zeros(nq)
+    for s, e, (row, col) in row_blocks(nq, n, block_sums):
+        sums[s:e] += row
+        if col is not None:
+            sums[e:] += col
+
+    redo = np.flatnonzero(~(sums >= _UNDERFLOW_SUM))
+    sums[redo] = 1.0
+    out = np.log(sums, out=sums)
+    for s, e, exact in row_blocks(redo.size, n, shifted_sums):
+        out[redo[s:e]] = exact
     count = n - 1 if Q is None else n
     return out + (_log_kernel_const(model.bandwidth, m) - np.log(count))
 

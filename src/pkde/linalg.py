@@ -1,14 +1,20 @@
-"""Dense linear algebra for the detector: centering, covariance and a LAPACK
-eigensolver for symmetric matrices.
+"""Dense linear algebra for the detector: centering, covariance, a LAPACK
+eigensolver for symmetric matrices, an exact power-of-two rescale and the
+row-block scheduler behind the kernel sum and the neighbour table.
 
 Matrices are plain float64 numpy arrays in row-major order; the validators
 below reject anything non-rectangular or non-finite. All functions are pure.
-covariance and sym_eigen run their BLAS/LAPACK call on one thread.
+Every BLAS/LAPACK call of a detection runs inside _one_blas_thread:
+covariance and sym_eigen make one call each, and row_blocks runs its blocks
+side by side on as many worker threads as OpenBLAS would have used inside
+each call.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import contextvars
 import ctypes
 import functools
 import glob
@@ -27,6 +33,13 @@ _SYMMETRY_TOL = 1e-10
 
 # Guards the read-set-restore of the process-wide BLAS thread count.
 _PIN_LOCK = threading.RLock()
+
+# The buffers of one row_blocks loop hold at most this many float64s (32 MB)
+# between them.
+_BLOCK_FLOATS = 4_000_000
+
+# What a block returns in place of its result when another block has raised.
+_SKIPPED = object()
 
 
 @functools.cache
@@ -53,13 +66,15 @@ def _blas_thread_calls():
 def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS to one thread inside the block.
 
-    Threaded OpenBLAS stalls small calls while its worker thread wakes. On
-    a shared 2-core VM, a process's first eigh of a 103x103 matrix took
-    about 0.2 s where one thread takes 2 ms, and after an idle spell a
-    2417x103 covariance took 55-75 ms against 2 ms. The old count comes back
-    even when the block raises, and calls outside the block (the kernel-sum
-    GEMMs) keep their threads. Without the bundled OpenBLAS this does
-    nothing.
+    Threaded OpenBLAS stalls calls while its threads wake, and once woken
+    they spin on the cores for a while. On a shared 2-core VM, a process's
+    first eigh of a 103x103 matrix took about 0.2 s where one thread takes
+    2 ms; after an idle spell a 2417x103 covariance took 55-75 ms against
+    2 ms, and the kernel-sum GEMMs of that input twice their warm time; and
+    one threaded product just before a row_blocks loop kept both cores busy
+    through it, so two block workers ran no faster than one. The old count
+    comes back even when the block raises. Without the bundled OpenBLAS
+    this does nothing.
     """
     calls = _blas_thread_calls()
     if calls is None:
@@ -73,6 +88,87 @@ def _one_blas_thread():
             yield
         finally:
             set_(old)
+
+
+def _worker_count() -> int:
+    """Threads for a row_blocks loop: the thread count of numpy's bundled
+    OpenBLAS (set by OPENBLAS_NUM_THREADS, else the core count), or 1
+    without it."""
+    calls = _blas_thread_calls()
+    return 1 if calls is None else max(1, calls[0]())
+
+
+def row_blocks(n_rows: int, row_floats: int, work):
+    """Yield (s, e, work(s, e, buf)) for the row blocks [s, e) of range(n_rows),
+    in block order.
+
+    The workers are as many threads as OpenBLAS would use, counted before it
+    is held to one thread for the whole loop, so the threads run whole
+    blocks side by side instead of splitting each BLAS call. A block holds
+    _BLOCK_FLOATS // (workers * row_floats) rows (at least one), so the
+    workers' buffers of that many rows of row_floats float64s together stay
+    within _BLOCK_FLOATS. buf is the block's own until work returns, and the
+    result must not refer to it. Each block runs in a copy of the caller's
+    contextvars context, which carries np.errstate. At most `workers` blocks
+    run ahead of the consumer. A lone block or a lone worker runs inline on
+    the calling thread. Once a block raises, no block that has not started
+    runs, and the error propagates from here after the running blocks end.
+    """
+    with _PIN_LOCK:
+        workers = _worker_count()
+        with _one_blas_thread():
+            rows = max(1, _BLOCK_FLOATS // (workers * row_floats))
+            blocks = [(s, min(s + rows, n_rows)) for s in range(0, n_rows, rows)]
+            workers = min(workers, len(blocks))
+            bufs = [np.empty(min(rows, n_rows) * row_floats) for _ in range(workers)]
+            if workers <= 1:
+                for s, e in blocks:
+                    yield s, e, work(s, e, bufs[0])
+                return
+
+            # Imported here: with the logging it pulls in, it would add about
+            # 6 ms to every `import pkde`, and only a pooled loop needs it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            errors = []
+
+            def run(i, s, e):
+                if errors:
+                    return _SKIPPED
+                try:
+                    # Block i - workers, the last one to use this buffer, was
+                    # taken before block i was submitted.
+                    return work(s, e, bufs[i % workers])
+                except BaseException as exc:
+                    errors.append(exc)
+                    raise
+
+            def take(s, e, future):
+                result = future.result()
+                if result is _SKIPPED:
+                    raise errors[0]
+                return s, e, result
+
+            with ThreadPoolExecutor(workers) as pool:
+                ahead = collections.deque()
+                for i, (s, e) in enumerate(blocks):
+                    ctx = contextvars.copy_context()
+                    ahead.append((s, e, pool.submit(ctx.run, run, i, s, e)))
+                    if len(ahead) == workers:
+                        yield take(*ahead.popleft())
+                while ahead:
+                    yield take(*ahead.popleft())
+
+
+def pow2_scale(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(A * 2**-p, p) with 2**p the power of two just above max |A|.
+
+    The scaling is exact and puts max |A| in [0.5, 1): whatever the scale of
+    A, products of its entries can no longer overflow, and the largest ones
+    no longer underflow. An all-zero A comes back unchanged, with p = 0.
+    """
+    p = int(np.frexp(np.max(np.abs(A)))[1])
+    return np.ldexp(A, -p), p
 
 
 def as_matrix(X, name: str = "matrix") -> np.ndarray:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pkde import linalg
 from pkde.baselines import (
     knn_dist_score,
     knn_table,
@@ -84,14 +85,20 @@ class TestKnnTable:
         with pytest.raises(InvalidInputError):
             knn_table(np.zeros((10, 2)) + np.arange(10)[:, None], k)
 
-    def test_two_blocks_match_dense_reference(self):
-        # 4_000_000 // 2100 = 1904 rows per block: rows 1904.. form a second block
+    def test_two_blocks_match_dense_reference(self, monkeypatch):
+        # One worker takes 4_000_000 // 2100 = 1904 rows per block, two take
+        # 952 each: the table must not depend on where the block edges fall.
         rng = np.random.default_rng(50)
         X = rng.standard_normal((2100, 5))
-        table = knn_table(X, 10)
+        tables = []
+        for workers in (1, 2):
+            monkeypatch.setattr(linalg, "_worker_count", lambda w=workers: w)
+            tables.append(knn_table(X, 10))
         idx, dist = dense_neighbors(X, 10)
-        assert np.array_equal(table.indices, idx)
-        assert np.abs(table.distances - dist).max() <= 1e-12 * dist.max()
+        for table in tables:
+            assert np.array_equal(table.indices, idx)
+            assert np.abs(table.distances - dist).max() <= 1e-12 * dist.max()
+        assert np.array_equal(tables[0].distances, tables[1].distances)
 
     def test_grid_ties_and_duplicates_across_block_edge(self):
         # About two points per cell of a 10^3 grid: duplicates at distance 0,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pkde import detector
+from pkde import detector, kde, linalg
 from pkde.cli import run
 from pkde.datasets import load_csv, write_csv
 
@@ -143,11 +143,31 @@ class TestDetect:
         assert rc == 2
         assert "covariance overflows" in capsys.readouterr().err
 
-    def test_out_of_memory_exit_2_no_output(self, tmp_path, capsys, monkeypatch):
-        def exhausted(A, config):
+    @pytest.mark.parametrize("where", ["scorer", "kernel-sum block"])
+    def test_out_of_memory_exit_2_no_output(self, tmp_path, capsys, monkeypatch, where):
+        def exhausted(*args):
             raise MemoryError("Unable to allocate 3.09 GiB")
 
-        monkeypatch.setitem(detector._SCORERS, "pkde", exhausted)
+        if where == "scorer":
+            monkeypatch.setitem(detector._SCORERS, "pkde", exhausted)
+        else:
+            # Blocks of 2 rows on two workers; the second block fails in a
+            # worker thread.
+            monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
+            monkeypatch.setattr(linalg, "_BLOCK_FLOATS", 4 * 100)
+            row_blocks = kde.row_blocks
+
+            def failing_blocks(n_rows, row_floats, work):
+                def first_block_only(s, e, buf):
+                    if s > 0:
+                        exhausted()
+                    return work(s, e, buf)
+
+                return row_blocks(n_rows, row_floats, first_block_only)
+
+            monkeypatch.setattr(kde, "row_blocks", failing_blocks)
+        calls = linalg._blas_thread_calls()
+        before = calls and calls[0]()
         data = tmp_path / "d.csv"
         assert run(synth_args(data)) == 0
         out = tmp_path / "scores.csv"
@@ -155,6 +175,7 @@ class TestDetect:
         assert rc == 2
         assert not out.exists()
         assert "data error: Unable to allocate" in capsys.readouterr().err
+        assert (calls and calls[0]()) == before
 
     def test_unknown_flag_exit_1(self):
         assert run(["detect", "--frobnicate"]) == 1

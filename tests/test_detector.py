@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pkde import linalg
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.detector import (
     DETECTOR_IDS,
@@ -202,16 +203,30 @@ class TestDetect:
             np.testing.assert_allclose(scores, unit * scale, rtol=1e-12, atol=0)
 
     def test_mahalanobis_scale_free(self):
-        # Summed in the PCA eigenbasis, the score never forms the inverse
-        # covariance, so subnormal eigenvalues cannot overflow it.
+        # The data is rescaled by a power of two first, so the covariance
+        # neither overflows (1e200) nor underflows to subnormals (1e-165) or
+        # to exactly 0 (1e-170 and below).
         ds = planted()
         cfg = DetectorConfig(contamination=0.05)
         unit = detect("mahalanobis", ds.X, cfg).scores
-        for scale in (1e150, 1e-150, 1e-155):
-            scores = detect("mahalanobis", ds.X * scale, cfg).scores
-            np.testing.assert_allclose(scores, unit, rtol=1e-12, atol=0)
-        result = detect("mahalanobis", ds.X * 1e-160, cfg)
-        assert np.array_equal(result.labels, ds.labels)
+        for scale in (1e150, 1e-150, 1e-155, 1e-160, 1e-165, 1e-170, 1e-200, 1e200):
+            result = detect("mahalanobis", ds.X * scale, cfg)
+            np.testing.assert_allclose(result.scores, unit, rtol=1e-12, atol=0)
+            assert np.array_equal(result.labels, ds.labels)
+
+    def test_pkde_one_and_two_workers_agree(self, monkeypatch):
+        # n = 3500 splits the kernel sum into 4 blocks on one worker and 7
+        # on two; block edges move the last bits of a score, not the labels.
+        ds = planted(n_normal=3325, n_outlier=175, dim=3)
+        cfg = DetectorConfig(contamination=0.05)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(linalg, "_worker_count", lambda w=workers: w)
+            first, second = detect("pkde", ds.X, cfg), detect("pkde", ds.X, cfg)
+            assert np.array_equal(first.scores, second.scores)
+            runs.append(first)
+        assert np.array_equal(runs[0].labels, runs[1].labels)
+        np.testing.assert_allclose(runs[1].scores, runs[0].scores, rtol=1e-13, atol=0)
 
     def test_all_detectors_label_k_points(self):
         ds = planted(seed=2)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pkde import linalg
 from pkde.errors import InvalidInputError, SingularBandwidthError
 from pkde.kde import (
     Bandwidth,
@@ -304,3 +306,18 @@ class TestLogDensityLoo:
         loo = log_density_loo(fit_kde(X, bw))
         expected = shifted_log_density(X, bw, X, skip_self=True)
         assert np.allclose(loo, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_within_block_budget(self, monkeypatch, workers):
+        # The 6000 x 6000 kernel matrix would take 288 MB; the block buffers
+        # of all workers together hold at most 4_000_000 floats (32 MB).
+        monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
+        rng = np.random.default_rng(45)
+        model = fit_kde(rng.standard_normal((6000, 3)), make_bandwidth(np.eye(3) * 0.3))
+        tracemalloc.start()
+        try:
+            log_density_loo(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * 8 * 4_000_000

@@ -1,10 +1,14 @@
 import ctypes
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from pkde import linalg
 from pkde.datasets import SynthSpec, gen_synthetic
+from pkde.detector import DetectorConfig, detect
 from pkde.errors import DataError, InvalidInputError, NumericalError
 from pkde.linalg import (
     center_columns,
@@ -202,6 +206,23 @@ class TestBlasThreadPin:
         covariance(center_columns(rng.standard_normal((300, 40)))[0])
         assert get() == before
 
+    def test_pkde_factorizations_on_one_thread(self, monkeypatch):
+        # The bandwidth and the kernel sum's whitening each factor H once;
+        # a threaded call there would wake OpenBLAS threads that then spin
+        # on the cores the kernel-sum workers need.
+        get = blas_threads()
+        inside = []
+        cholesky = np.linalg.cholesky
+
+        def spy(A):
+            inside.append(get())
+            return cholesky(A)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        X = np.random.default_rng(14).standard_normal((200, 4))
+        detect("pkde", X, DetectorConfig(contamination=0.05))
+        assert inside == [1, 1]
+
     def test_missing_symbol_same_eigenpairs(self, monkeypatch, fresh_blas_lookup):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((300, 103))
@@ -213,3 +234,99 @@ class TestBlasThreadPin:
         assert linalg._blas_thread_calls() is None
         assert np.array_equal(pinned.eigenvalues, unpinned.eigenvalues)
         assert np.array_equal(pinned.eigenvectors, unpinned.eigenvectors)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Two workers and a budget of 8 floats: row_blocks(n, 2, work) runs
+    blocks of 8 // (2 * 2) = 2 rows on a pool of two threads."""
+    monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
+    monkeypatch.setattr(linalg, "_BLOCK_FLOATS", 8)
+
+
+class TestRowBlocks:
+    def test_blocks_in_order_with_own_buffers(self, two_workers):
+        caller = threading.get_ident()
+        threads = set()
+
+        def work(s, e, buf):
+            threads.add(threading.get_ident())
+            buf[:] = s
+            time.sleep(0.01)
+            assert np.all(buf == s)  # no other block wrote to this buffer
+            time.sleep(0.02 if s % 4 == 0 else 0.0)  # even blocks finish last
+            return list(range(s, e))
+
+        out = list(linalg.row_blocks(9, 2, work))
+        assert [(s, e) for s, e, _ in out] == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
+        assert [r for _, _, rows in out for r in rows] == list(range(9))
+        assert caller not in threads
+
+    def test_lone_block_runs_inline(self, two_workers):
+        out = list(linalg.row_blocks(2, 2, lambda *_: threading.get_ident()))
+        assert out == [(0, 2, threading.get_ident())]
+
+    def test_caller_errstate_reaches_workers(self, two_workers):
+        def work(s, e, buf):
+            return np.subtract(np.full(1, np.inf), np.inf)[0]
+
+        with np.errstate(invalid="ignore"):
+            values = [v for _, _, v in linalg.row_blocks(6, 2, work)]
+        assert len(values) == 3 and np.all(np.isnan(values))
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            list(linalg.row_blocks(6, 2, work))
+
+    def test_one_blas_thread_inside_restored_after(self, two_workers):
+        get = blas_threads()
+        before = get()
+        inside = [count for _, _, count in linalg.row_blocks(6, 2, lambda *_: get())]
+        assert inside == [1, 1, 1]
+        assert get() == before
+
+        def fail(s, e, buf):
+            raise MemoryError("Unable to allocate")
+
+        with pytest.raises(MemoryError):
+            list(linalg.row_blocks(6, 2, fail))
+        assert get() == before
+
+    def test_no_block_starts_after_one_raised(self, two_workers):
+        started, done = [], []
+        raised = threading.Event()
+
+        def work(s, e, buf):
+            started.append(s)
+            if s == 2:
+                raised.set()
+                raise ValueError("block 2")
+            if s == 0:
+                assert raised.wait(5.0)
+                time.sleep(0.1)  # block 2's error is recorded by now
+            return s
+
+        with pytest.raises(ValueError, match="block 2"):
+            for _, _, s in linalg.row_blocks(20, 2, work):
+                done.append(s)
+        assert done == [0]
+        assert sorted(started) == [0, 2]
+
+    def test_stress_more_workers_than_cores(self, monkeypatch):
+        # Eight workers on 400 one-row blocks with a short switch interval:
+        # a buffer shared by two running blocks, or a block out of order,
+        # would show.
+        monkeypatch.setattr(linalg, "_worker_count", lambda: 8)
+        monkeypatch.setattr(linalg, "_BLOCK_FLOATS", 8 * 64)
+
+        def work(s, e, buf):
+            buf[:] = s
+            time.sleep(0)
+            return bool(np.all(buf == s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = list(linalg.row_blocks(400, 64, work))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(s, e) for s, e, _ in out] == [(s, s + 1) for s in range(400)]
+        assert all(own for _, _, own in out)

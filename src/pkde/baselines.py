@@ -1,6 +1,9 @@
 """Reference detectors for the comparison harness: kNN-distance, LOF and a
 global Mahalanobis model. kNN and LOF share one exact neighbor table, built
 block-wise by brute force so that memory stays O(block * n).
+
+detector.detect rescales the data by a power of two first; called directly,
+these work at the scale given and can overflow or underflow near 1e±160.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDuplicatesError, InvalidInputError
-from .linalg import as_matrix, pow2_scale, row_blocks
+from .linalg import as_matrix, row_blocks
 from .pca import fit_pca, project
 
 # Condition-number bound past which the Mahalanobis covariance is ridged.
@@ -43,8 +46,6 @@ def knn_table(X, k: int) -> NeighborTable:
     n = A.shape[0]
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k={k} out of range [1, {n - 1}]")
-    # Expanding ‖x‖² on the exactly rescaled data cannot overflow or underflow.
-    A, p = pow2_scale(A)
     sq = np.sum(A * A, axis=1)
 
     def block(s, e, buf):
@@ -67,7 +68,6 @@ def knn_table(X, k: int) -> NeighborTable:
     for s, e, (idx, dist) in row_blocks(n, n, block):
         indices[s:e] = idx
         distances[s:e] = dist
-    np.ldexp(distances, p, out=distances)
     return NeighborTable(k=k, indices=indices, distances=distances)
 
 
@@ -102,13 +102,13 @@ def mahalanobis_score(X) -> np.ndarray:
     """Squared Mahalanobis distance of each point to the global mean, using
     the covariance of the full data (outliers included -- a global method).
 
-    The data is first rescaled by linalg.pow2_scale, so its covariance
-    neither overflows nor underflows, then summed in the PCA eigenbasis,
-    sum_j (z_j^2 / lambda_j), so the inverse covariance is never formed.
+    It is summed in the PCA eigenbasis, sum_j (z_j^2 / lambda_j), so the
+    inverse covariance is never formed, and is scale-free as long as the
+    covariance neither overflows nor underflows.
     Near-singular covariance is ridged by eps * trace/d on every eigenvalue
     so the score is always defined.
     """
-    A, _ = pow2_scale(as_matrix(X))
+    A = as_matrix(X)
     if A.shape[0] < 2:
         raise InvalidInputError("need at least 2 rows")
     model = fit_pca(A)

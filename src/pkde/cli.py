@@ -209,6 +209,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise InvalidInputError("repeats must be >= 1")
     names = [d.strip() for d in args.detectors.split(",") if d.strip()]
     rows = []
     for path in args.input:
@@ -216,11 +218,8 @@ def _cmd_bench(args) -> int:
         cfg = DetectorConfig(contamination=args.contamination)
         row: dict[str, object] = {"dataset": ds.name}
         for name in names:
-            totals = []
-            for _ in range(args.repeats):
-                result = detect(name, ds.X, cfg)
-                totals.append(result.fit_time + result.score_time)
-            row[name] = sum(totals) / len(totals)
+            runs = [detect(name, ds.X, cfg) for _ in range(args.repeats)]
+            row[name] = sum(r.fit_time + r.score_time for r in runs) / len(runs)
         rows.append(row)
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
 from .kde import fit_kde, log_density_loo, scott_bandwidth
-from .linalg import as_matrix
+from .linalg import as_matrix, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
 # Components with eigenvalue below this fraction of the leading one are
@@ -79,10 +79,14 @@ def top_k_select(scores, k: int) -> np.ndarray:
 
 
 def k_from_contamination(contamination: float, n: int) -> int:
-    return math.ceil(contamination * n)
+    # ceil(contamination * n) on the decimal value, in integers: in floats
+    # 0.07 * 100 is 7.000000000000001, and fractions takes 3 ms to import.
+    digits, _, exp = repr(float(contamination)).partition("e")
+    whole, _, frac = digits.partition(".")
+    return -(-int(whole + frac) * n // 10 ** (len(frac) - int(exp or 0)))
 
 
-def _pkde_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
+def _pkde_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
     """Negative log KDE density of every row in the reduced space.
 
     Returns (scores, reduced dimension used).
@@ -106,7 +110,8 @@ def _pkde_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
     # Rank by the leave-one-out density: same label set as the self-inclusive
     # estimate (the self kernel is the same constant for every point) but it
     # stays resolvable in float64 when the self term dominates in high d.
-    return -log_density_loo(kde), m
+    # An m-dimensional density at scale 2**p is the density of A over 2**(p*m).
+    return m * p * math.log(2.0) - log_density_loo(kde), m
 
 
 def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
@@ -114,22 +119,23 @@ def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
     return detect("pkde", X, config)
 
 
-def _knn_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
+def _knn_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
     k = min(config.neighbors, A.shape[0] - 1)
-    return baselines.knn_dist_score(A, k), A.shape[1]
+    return np.ldexp(baselines.knn_dist_score(A, k), p), A.shape[1]
 
 
-def _lof_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
+def _lof_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
     k = min(max(config.neighbors, 2), A.shape[0] - 1)
     return baselines.lof_score(A, k), A.shape[1]
 
 
-def _mahalanobis_scores(A, config: DetectorConfig) -> tuple[np.ndarray, int]:
+def _mahalanobis_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
     return baselines.mahalanobis_score(A), A.shape[1]
 
 
-# detector id -> callable(A, config) -> (scores, effective dimension), where
-# A is the matrix detect() has already checked.
+# detector id -> callable(A, p, config) -> (scores, effective dimension) of
+# A * 2**p, the matrix detect() has checked; max |A| is in [0.5, 1). LOF and
+# Mahalanobis scores do not depend on the scale, so they ignore p.
 _SCORERS = {
     "pkde": _pkde_scores,
     "mahalanobis": _mahalanobis_scores,
@@ -149,9 +155,9 @@ def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
         raise InvalidInputError(
             f"unknown detector {name!r}; known: {', '.join(DETECTOR_IDS)}"
         ) from None
-    A = as_matrix(X)
+    A, p = pow2_scale(as_matrix(X))
     t0 = time.perf_counter()
-    scores, dim = scorer(A, config)
+    scores, dim = scorer(A, p, config)
     t1 = time.perf_counter()
     bad = int(np.sum(~np.isfinite(scores)))
     if bad:

@@ -1,6 +1,6 @@
 """Dense linear algebra for the detector: centering, covariance, a LAPACK
-eigensolver for symmetric matrices, an exact power-of-two rescale and the
-row-block scheduler behind the kernel sum and the neighbour table.
+eigensolver for symmetric matrices, the exact power-of-two rescale of every
+detect input, and the row-block scheduler of the kernel sum and neighbour table.
 
 Matrices are plain float64 numpy arrays in row-major order; the validators
 below reject anything non-rectangular or non-finite. All functions are pure.
@@ -67,14 +67,9 @@ def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS to one thread inside the block.
 
     Threaded OpenBLAS stalls calls while its threads wake, and once woken
-    they spin on the cores for a while. On a shared 2-core VM, a process's
-    first eigh of a 103x103 matrix took about 0.2 s where one thread takes
-    2 ms; after an idle spell a 2417x103 covariance took 55-75 ms against
-    2 ms, and the kernel-sum GEMMs of that input twice their warm time; and
-    one threaded product just before a row_blocks loop kept both cores busy
-    through it, so two block workers ran no faster than one. The old count
-    comes back even when the block raises. Without the bundled OpenBLAS
-    this does nothing.
+    they spin on the cores for a while (the README has the measurements).
+    The old count comes back even when the block raises. Without the
+    bundled OpenBLAS this does nothing.
     """
     calls = _blas_thread_calls()
     if calls is None:

@@ -35,6 +35,11 @@ def scaled_planted(tmp_path, scale):
     return scaled
 
 
+def nan_scorer(A, p, config):
+    """A stand-in scorer whose every score is NaN."""
+    return np.full(A.shape[0], np.nan), 1
+
+
 class TestSynth:
     def test_writes_dataset(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -117,10 +122,10 @@ class TestDetect:
         assert rc == 1
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_scores_exit_3_no_output(self, tmp_path, capsys):
-        data = scaled_planted(tmp_path, 1e-160)
+    def test_non_finite_scores_exit_3_no_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
         out = tmp_path / "scores.csv"
         rc = run(
             [
@@ -132,16 +137,24 @@ class TestDetect:
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
 
-    def test_covariance_overflow_exit_2(self, tmp_path, capsys):
-        data = scaled_planted(tmp_path, 1e160)
-        rc = run(
-            [
-                "detect", "-i", str(data), "--label-column", "label",
-                "--contamination", "0.05",
-            ]
-        )
-        assert rc == 2
-        assert "covariance overflows" in capsys.readouterr().err
+    def test_extreme_scale_finds_planted(self, tmp_path):
+        # The covariance of this data overflows at 1e160 and the bandwidth
+        # inverse at 1e-160; detect's power-of-two rescale avoids both.
+        for scale in (1e-160, 1e160):
+            data = scaled_planted(tmp_path, scale)
+            out = tmp_path / "scores.csv"
+            rc = run(
+                [
+                    "detect", "-i", str(data), "--label-column", "label",
+                    "--contamination", "0.05", "-o", str(out),
+                ]
+            )
+            assert rc == 0
+            truth = load_csv(data, label_column="label").labels
+            with out.open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert [int(r["label"]) for r in rows] == truth.tolist()
+            assert all(np.isfinite(float(r["score"])) for r in rows)
 
     @pytest.mark.parametrize("where", ["scorer", "kernel-sum block"])
     def test_out_of_memory_exit_2_no_output(self, tmp_path, capsys, monkeypatch, where):
@@ -228,10 +241,10 @@ class TestSweep:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 30 * 4
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_scores_exit_3_no_output(self, tmp_path, capsys):
-        data = scaled_planted(tmp_path, 1e-160)
+    def test_non_finite_scores_exit_3_no_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
         report = tmp_path / "report.csv"
         plot = tmp_path / "plot.csv"
         rc = run(
@@ -285,3 +298,12 @@ class TestBench:
         assert rows[0] == ["dataset", "pkde", "knn-dist"]
         assert len(rows) == 2
         assert float(rows[1][1]) > 0.0
+
+    def test_zero_repeats_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        rc = run(
+            ["bench", "-i", str(data), "--label-column", "label", "--repeats", "0"]
+        )
+        assert rc == 1
+        assert "repeats must be >= 1" in capsys.readouterr().err

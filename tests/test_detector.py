@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pkde import linalg
+from pkde import detector, linalg
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.detector import (
     DETECTOR_IDS,
@@ -16,6 +16,7 @@ from pkde.detector import (
 from pkde.errors import DegenerateDataError, InvalidInputError, NumericalError
 from pkde.kde import fit_kde, log_density_all, scott_bandwidth
 from pkde.linalg import covariance
+from pkde.metrics import default_grid
 from pkde.pca import choose_dim, fit_pca, project
 
 
@@ -93,9 +94,16 @@ class TestPkdeFitScore:
 
     def test_label_count_matches_k(self):
         ds = planted(seed=3)
-        for c in (0.01, 0.07, 0.25, 0.5):
+        for c, k in {0.01: 1, 0.07: 7, 0.25: 25, 0.5: 50}.items():
             result = pkde_fit_score(ds.X, DetectorConfig(contamination=c))
-            assert int(result.labels.sum()) == result.k_used == int(np.ceil(c * ds.n))
+            assert int(result.labels.sum()) == result.k_used == k
+
+    def test_k_exact_on_default_grid(self):
+        # In floats 0.07 * 100 is 7.000000000000001; K must still be 7.
+        for c in default_grid():
+            percent = round(c * 100)
+            for n in range(1, 2001):
+                assert k_from_contamination(c, n) == -(-percent * n // 100), (c, n)
 
     def test_monotone_k_nesting(self):
         ds = planted(seed=9)
@@ -183,15 +191,16 @@ class TestDetect:
         with pytest.raises(InvalidInputError):
             detect("bogus", np.eye(3), DetectorConfig(contamination=0.1))
 
-    def test_non_finite_scores_raise(self):
-        # At 1e-160 the bandwidth inverse overflows and every score is NaN.
+    def test_non_finite_scores_raise(self, monkeypatch):
+        nan_scorer = lambda A, p, config: (np.full(A.shape[0], np.nan), 1)
+        monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)
         ds = planted()
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            detect("pkde", ds.X * 1e-160, DetectorConfig(contamination=0.05))
+        with pytest.raises(NumericalError, match="100 non-finite scores of 100"):
+            detect("pkde", ds.X, DetectorConfig(contamination=0.05))
 
     def test_neighbor_baselines_scale_free(self):
         # The squared-norm expansion would overflow at 1e160 and underflow
-        # at 1e-160 without its power-of-two rescaling.
+        # at 1e-160 without the power-of-two rescaling in detect.
         ds = planted()
         cfg = DetectorConfig(contamination=0.05)
         unit = detect("knn-dist", ds.X, cfg).scores
@@ -213,6 +222,49 @@ class TestDetect:
             result = detect("mahalanobis", ds.X * scale, cfg)
             np.testing.assert_allclose(result.scores, unit, rtol=1e-12, atol=0)
             assert np.array_equal(result.labels, ds.labels)
+
+    def test_every_detector_scale_free(self):
+        # detect divides the data by a power of two first, so no detector
+        # overflows or underflows, and each maps its scores back exactly.
+        ds = planted()
+        cfg = DetectorConfig(contamination=0.05)
+        for name in DETECTOR_IDS:
+            unit = detect(name, ds.X, cfg)
+            assert np.array_equal(unit.labels, ds.labels), name
+            for c in (1e-300, 1e-200, 1e-160, 2.0**-520, 3.7, 1e160, 1e300):
+                result = detect(name, ds.X * c, cfg)
+                assert np.all(np.isfinite(result.scores)), (name, c)
+                assert np.array_equal(result.labels, unit.labels), (name, c)
+                if name == "knn-dist":
+                    expected = unit.scores * c
+                elif name == "pkde":
+                    expected = unit.scores + unit.reduced_dim * np.log(c)
+                else:
+                    expected = unit.scores
+                np.testing.assert_allclose(result.scores, expected, rtol=1e-12, atol=0)
+
+    @given(
+        st.sampled_from([7, 11]),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_labels_invariant_under_similarity_and_permutation(
+        self, seed, log10_scale, draw_seed
+    ):
+        # Scale, translation, rotation and row order leave every detector's
+        # label set unchanged in exact arithmetic; the planted outliers sit
+        # far enough out that rounding cannot move them either.
+        ds = planted(seed=seed, dim=3)
+        rng = np.random.default_rng(draw_seed)
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        shift = rng.uniform(-100.0, 100.0, 3)
+        perm = rng.permutation(ds.n)
+        X = (ds.X[perm] @ rot + shift) * 10.0**log10_scale
+        cfg = DetectorConfig(contamination=0.05)
+        for name in DETECTOR_IDS:
+            result = detect(name, X, cfg)
+            assert np.array_equal(result.labels, ds.labels[perm]), name
 
     def test_pkde_one_and_two_workers_agree(self, monkeypatch):
         # n = 3500 splits the kernel sum into 4 blocks on one worker and 7

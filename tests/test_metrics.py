@@ -1,11 +1,11 @@
 import csv
 import io
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pkde import detector
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.errors import InvalidInputError, NumericalError
 from pkde.metrics import (
@@ -103,11 +103,11 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             sweep(["nope"], planted_dataset, [0.1])
 
-    def test_non_finite_scores_raise(self, planted_dataset):
-        # At 1e-160 the bandwidth inverse overflows and every score is NaN.
-        scaled = replace(planted_dataset, X=planted_dataset.X * 1e-160)
-        with np.errstate(all="ignore"), pytest.raises(NumericalError):
-            sweep(["pkde"], scaled, [0.05])
+    def test_non_finite_scores_raise(self, planted_dataset, monkeypatch):
+        nan_scorer = lambda A, p, config: (np.full(A.shape[0], np.nan), 1)
+        monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)
+        with pytest.raises(NumericalError, match="non-finite"):
+            sweep(["pkde"], planted_dataset, [0.05])
 
     def test_default_grid(self):
         grid = default_grid()

@@ -212,6 +212,8 @@ def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise InvalidInputError("repeats must be >= 1")
     names = [d.strip() for d in args.detectors.split(",") if d.strip()]
+    if not names:
+        raise InvalidInputError("the detector list is empty")
     rows = []
     for path in args.input:
         ds = _load(path, args, args.label_column)

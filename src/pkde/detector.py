@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
 from .kde import fit_kde, log_density_loo, scott_bandwidth
-from .linalg import as_matrix, pow2_scale
+from .linalg import _one_blas_thread, as_matrix, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
 # Components with eigenvalue below this fraction of the leading one are
@@ -125,6 +125,8 @@ def _knn_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
 
 
 def _lof_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
+    if A.shape[0] < 3:
+        raise InvalidInputError(f"need at least 3 rows, got {A.shape[0]}")
     k = min(max(config.neighbors, 2), A.shape[0] - 1)
     return baselines.lof_score(A, k), A.shape[1]
 
@@ -147,8 +149,8 @@ DETECTOR_IDS = tuple(_SCORERS)
 
 
 def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
-    """Run the named detector and threshold its scores at the configured
-    contamination."""
+    """Run the named detector, its BLAS on one OpenBLAS thread, and threshold
+    its scores at the configured contamination."""
     try:
         scorer = _SCORERS[name]
     except KeyError:
@@ -157,7 +159,8 @@ def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
         ) from None
     A, p = pow2_scale(as_matrix(X))
     t0 = time.perf_counter()
-    scores, dim = scorer(A, p, config)
+    with _one_blas_thread():
+        scores, dim = scorer(A, p, config)
     t1 = time.perf_counter()
     bad = int(np.sum(~np.isfinite(scores)))
     if bad:

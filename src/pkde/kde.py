@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBandwidthError
-from .linalg import _one_blas_thread, as_matrix, as_vector, row_blocks
+from .linalg import as_matrix, as_vector, row_blocks
 
 # Below this Cholesky pivot, relative to trace(H), the bandwidth is singular.
 _SINGULAR_REL = 1e-12
@@ -81,8 +81,7 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     factor = float(n) ** (-1.0 / (d + 4))
     scale = factor * factor if rule == "scott-squared" else factor
     H = 0.5 * scale * (A + A.T)
-    with _one_blas_thread():
-        H_inv, log_det = _spd_inverse_logdet(H)
+    H_inv, log_det = _spd_inverse_logdet(H)
     return Bandwidth(H=H, H_inv=H_inv, log_det_H=log_det, scott_factor=scale)
 
 
@@ -154,11 +153,10 @@ def _log_kernel_sum(model: KdeModel, Q: np.ndarray | None) -> np.ndarray:
         out[:, h] = -0.5 * np.einsum("ij,ij->i", out[:, :m], out[:, :m])
         return out
 
-    # Every BLAS call here is pinned too: a threaded one would wake OpenBLAS
-    # threads that spin on the cores the block workers need.
-    with _one_blas_thread():
-        W = np.linalg.cholesky(model.bandwidth.H_inv)
-        B = lift(model.samples, m + 1)
+    # detect holds OpenBLAS to one thread around this too: a threaded call
+    # would wake OpenBLAS threads that spin on the cores the workers need.
+    W = np.linalg.cholesky(model.bandwidth.H_inv)
+    B = lift(model.samples, m + 1)
     swap = np.r_[:m, m + 1, m]
 
     def rows(idx):

@@ -4,10 +4,10 @@ detect input, and the row-block scheduler of the kernel sum and neighbour table.
 
 Matrices are plain float64 numpy arrays in row-major order; the validators
 below reject anything non-rectangular or non-finite. All functions are pure.
-Every BLAS/LAPACK call of a detection runs inside _one_blas_thread:
-covariance and sym_eigen make one call each, and row_blocks runs its blocks
-side by side on as many worker threads as OpenBLAS would have used inside
-each call.
+detector.detect holds OpenBLAS to one thread (_one_blas_thread) around its
+scorer; called directly, the functions here run at whatever thread count the
+caller set, except row_blocks, which pins too and runs its blocks side by
+side on _worker_count() threads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _EIG_CLAMP_REL = 1e-10
 
 _SYMMETRY_TOL = 1e-10
 
-# Guards the read-set-restore of the process-wide BLAS thread count.
+# Guards every read and read-set-restore of the process-wide BLAS thread count.
 _PIN_LOCK = threading.RLock()
 
 # The buffers of one row_blocks loop hold at most this many float64s (32 MB)
@@ -44,9 +44,10 @@ _SKIPPED = object()
 
 @functools.cache
 def _blas_thread_calls():
-    """(get, set) for the thread count of numpy's bundled OpenBLAS, or None
-    when this numpy build bundles none. Looked up on first use, not at import.
-    """
+    """(get, set, count) for the thread count of numpy's bundled OpenBLAS, or
+    None when this numpy build bundles none. Looked up on first use, not at
+    import; count is read here, under the lock every pin holds, so no pin
+    has set it to 1."""
     pattern = os.path.join(
         os.path.dirname(np.__file__), os.pardir, "numpy.libs",
         "libscipy_openblas64_*.so",
@@ -59,7 +60,8 @@ def _blas_thread_calls():
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
+    with _PIN_LOCK:
+        return get, set_, get()
 
 
 @contextlib.contextmanager
@@ -75,7 +77,7 @@ def _one_blas_thread():
     if calls is None:
         yield
         return
-    get, set_ = calls
+    get, set_, _ = calls
     with _PIN_LOCK:
         old = get()
         set_(1)
@@ -86,21 +88,21 @@ def _one_blas_thread():
 
 
 def _worker_count() -> int:
-    """Threads for a row_blocks loop: the thread count of numpy's bundled
-    OpenBLAS (set by OPENBLAS_NUM_THREADS, else the core count), or 1
-    without it."""
+    """Threads for a row_blocks loop: OpenBLAS's thread count when pkde first
+    looked it up (OPENBLAS_NUM_THREADS, else the core count), the same inside
+    a pin as outside, or 1 without the bundled OpenBLAS."""
     calls = _blas_thread_calls()
-    return 1 if calls is None else max(1, calls[0]())
+    return 1 if calls is None else max(1, calls[2])
 
 
 def row_blocks(n_rows: int, row_floats: int, work):
     """Yield (s, e, work(s, e, buf)) for the row blocks [s, e) of range(n_rows),
     in block order.
 
-    The workers are as many threads as OpenBLAS would use, counted before it
-    is held to one thread for the whole loop, so the threads run whole
-    blocks side by side instead of splitting each BLAS call. A block holds
-    _BLOCK_FLOATS // (workers * row_floats) rows (at least one), so the
+    The workers are _worker_count() threads, and OpenBLAS is held to one
+    thread for the whole loop, so the threads run whole blocks side by side
+    instead of splitting each BLAS call. A block holds _BLOCK_FLOATS //
+    (workers * row_floats) rows (at least one), so the
     workers' buffers of that many rows of row_floats float64s together stay
     within _BLOCK_FLOATS. buf is the block's own until work returns, and the
     result must not refer to it. Each block runs in a copy of the caller's
@@ -109,50 +111,49 @@ def row_blocks(n_rows: int, row_floats: int, work):
     the calling thread. Once a block raises, no block that has not started
     runs, and the error propagates from here after the running blocks end.
     """
-    with _PIN_LOCK:
-        workers = _worker_count()
-        with _one_blas_thread():
-            rows = max(1, _BLOCK_FLOATS // (workers * row_floats))
-            blocks = [(s, min(s + rows, n_rows)) for s in range(0, n_rows, rows)]
-            workers = min(workers, len(blocks))
-            bufs = [np.empty(min(rows, n_rows) * row_floats) for _ in range(workers)]
-            if workers <= 1:
-                for s, e in blocks:
-                    yield s, e, work(s, e, bufs[0])
-                return
+    workers = _worker_count()
+    with _one_blas_thread():
+        rows = max(1, _BLOCK_FLOATS // (workers * row_floats))
+        blocks = [(s, min(s + rows, n_rows)) for s in range(0, n_rows, rows)]
+        workers = min(workers, len(blocks))
+        bufs = [np.empty(min(rows, n_rows) * row_floats) for _ in range(workers)]
+        if workers <= 1:
+            for s, e in blocks:
+                yield s, e, work(s, e, bufs[0])
+            return
 
-            # Imported here: with the logging it pulls in, it would add about
-            # 6 ms to every `import pkde`, and only a pooled loop needs it.
-            from concurrent.futures import ThreadPoolExecutor
+        # Imported here: with the logging it pulls in, it would add about
+        # 6 ms to every `import pkde`, and only a pooled loop needs it.
+        from concurrent.futures import ThreadPoolExecutor
 
-            errors = []
+        errors = []
 
-            def run(i, s, e):
-                if errors:
-                    return _SKIPPED
-                try:
-                    # Block i - workers, the last one to use this buffer, was
-                    # taken before block i was submitted.
-                    return work(s, e, bufs[i % workers])
-                except BaseException as exc:
-                    errors.append(exc)
-                    raise
+        def run(i, s, e):
+            if errors:
+                return _SKIPPED
+            try:
+                # Block i - workers, the last one to use this buffer, was
+                # taken before block i was submitted.
+                return work(s, e, bufs[i % workers])
+            except BaseException as exc:
+                errors.append(exc)
+                raise
 
-            def take(s, e, future):
-                result = future.result()
-                if result is _SKIPPED:
-                    raise errors[0]
-                return s, e, result
+        def take(s, e, future):
+            result = future.result()
+            if result is _SKIPPED:
+                raise errors[0]
+            return s, e, result
 
-            with ThreadPoolExecutor(workers) as pool:
-                ahead = collections.deque()
-                for i, (s, e) in enumerate(blocks):
-                    ctx = contextvars.copy_context()
-                    ahead.append((s, e, pool.submit(ctx.run, run, i, s, e)))
-                    if len(ahead) == workers:
-                        yield take(*ahead.popleft())
-                while ahead:
+        with ThreadPoolExecutor(workers) as pool:
+            ahead = collections.deque()
+            for i, (s, e) in enumerate(blocks):
+                ctx = contextvars.copy_context()
+                ahead.append((s, e, pool.submit(ctx.run, run, i, s, e)))
+                if len(ahead) == workers:
                     yield take(*ahead.popleft())
+            while ahead:
+                yield take(*ahead.popleft())
 
 
 def pow2_scale(A: np.ndarray) -> tuple[np.ndarray, int]:
@@ -219,7 +220,7 @@ def covariance(X_centered) -> np.ndarray:
     n = A.shape[0]
     if n < 2:
         raise InvalidInputError("covariance needs at least 2 rows")
-    with _one_blas_thread(), np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
         S = (A.T @ A) / (n - 1)
     if not np.all(np.isfinite(S)):
         raise DataError("covariance overflows float64; rescale the data")
@@ -227,8 +228,7 @@ def covariance(X_centered) -> np.ndarray:
 
 
 def sym_eigen(S) -> SymEigen:
-    """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``),
-    run on one BLAS thread.
+    """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``).
 
     Deterministic: identical input yields bit-identical output. Negative
     eigenvalues within roundoff of zero (relative to the trace) are clamped
@@ -244,8 +244,7 @@ def sym_eigen(S) -> SymEigen:
 
     trace = float(np.trace(A))
     try:
-        with _one_blas_thread():
-            vals, V = np.linalg.eigh(0.5 * (A + A.T))
+        vals, V = np.linalg.eigh(0.5 * (A + A.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigendecomposition failed: {exc}") from exc
 
@@ -256,9 +255,7 @@ def sym_eigen(S) -> SymEigen:
     vals = vals[order]
     V = V[:, order]
 
-    for j in range(n):
-        i = int(np.argmax(np.abs(V[:, j])))
-        if V[i, j] < 0.0:
-            V[:, j] = -V[:, j]
+    peak = V[np.argmax(np.abs(V), axis=0), np.arange(n)]
+    V *= np.where(peak < 0.0, -1.0, 1.0)
 
     return SymEigen(eigenvalues=vals, eigenvectors=V)

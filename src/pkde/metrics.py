@@ -110,6 +110,9 @@ def sweep(
         raise InvalidInputError("contamination grid values must be in (0, 0.5]")
     if repeats < 1:
         raise InvalidInputError("repeats must be >= 1")
+    detectors = list(detectors)
+    if not detectors:
+        raise InvalidInputError("the detector list is empty")
 
     base = DetectorConfig(
         contamination=grid[0],

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import _one_blas_thread, as_matrix, center_columns, covariance, sym_eigen
+from .linalg import as_matrix, center_columns, covariance, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ def choose_dim(model: PcaModel, variance_threshold: float) -> int:
 
 
 def project(model: PcaModel, X, m: int) -> np.ndarray:
-    """Project X onto the m leading principal directions: (X - mean) @ W_m,
-    on one BLAS thread."""
+    """Project X onto the m leading principal directions: (X - mean) @ W_m."""
     A = as_matrix(X)
     d = model.mean.shape[0]
     if A.shape[1] != d:
@@ -77,5 +76,4 @@ def project(model: PcaModel, X, m: int) -> np.ndarray:
         raise InvalidInputError(
             f"m={m} out of range [1, {model.components.shape[1]}]"
         )
-    with _one_blas_thread():
-        return (A - model.mean) @ model.components[:, :m]
+    return (A - model.mean) @ model.components[:, :m]

@@ -190,6 +190,17 @@ class TestDetect:
         assert "data error: Unable to allocate" in capsys.readouterr().err
         assert (calls and calls[0]()) == before
 
+    def test_two_rows(self, tmp_path, capsys):
+        # LOF needs k >= 2 neighbours, so 3 rows, as PKDE does; kNN distance
+        # and Mahalanobis work on 2.
+        data = tmp_path / "two.csv"
+        data.write_text("a,b\n1,2\n3,5\n")
+        argv = ["detect", "-i", str(data), "--contamination", "0.5", "--detector"]
+        assert run(argv + ["lof"]) == 1
+        assert "need at least 3 rows, got 2" in capsys.readouterr().err
+        assert run(argv + ["knn-dist"]) == 0
+        assert run(argv + ["mahalanobis"]) == 0
+
     def test_unknown_flag_exit_1(self):
         assert run(["detect", "--frobnicate"]) == 1
 
@@ -272,6 +283,14 @@ class TestSweep:
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
 
+    def test_empty_detector_list_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        rc = run(["sweep", "-i", str(data), "--label-column", "label",
+                  "--detectors", ","])
+        assert rc == 1
+        assert "detector list is empty" in capsys.readouterr().err
+
     def test_unlabeled_is_usage_error(self, tmp_path):
         data = tmp_path / "plain.csv"
         data.write_text("a,b\n1,2\n3,4\n5,6\n")
@@ -307,3 +326,11 @@ class TestBench:
         )
         assert rc == 1
         assert "repeats must be >= 1" in capsys.readouterr().err
+
+    def test_empty_detector_list_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        rc = run(["bench", "-i", str(data), "--label-column", "label",
+                  "--detectors", ","])
+        assert rc == 1
+        assert "detector list is empty" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pkde import linalg
+from pkde import linalg, pca
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.detector import DetectorConfig, detect
 from pkde.errors import DataError, InvalidInputError, NumericalError
@@ -125,6 +125,32 @@ class TestSymEigen:
                 np.trace(S)
             )
 
+    @pytest.mark.parametrize("d", [2, 36, 103])
+    def test_signs_match_per_column_reference(self, monkeypatch, d):
+        # The per-column sign loop, applied to the same eigh output, gives
+        # the same bits, signs of zeros included.
+        if d == 2:
+            S = np.array([[2.0, 1.0], [1.0, 2.0]])  # entries tie in magnitude
+        else:
+            A = np.random.default_rng(d).standard_normal((d + 50, d))
+            S = A.T @ A
+        raw = []
+        eigh = np.linalg.eigh
+
+        def spy(M):
+            raw.append(eigh(M))
+            return raw[0]
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        eig = sym_eigen(S)
+        vals, V = raw[0]
+        V = V[:, np.argsort(-vals, kind="stable")]
+        for j in range(d):
+            i = int(np.argmax(np.abs(V[:, j])))
+            if V[i, j] < 0.0:
+                V[:, j] = -V[:, j]
+        assert np.array_equal(eig.eigenvectors.view(np.int64), V.view(np.int64))
+
     def test_descending_order(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((10, 7))
@@ -171,69 +197,104 @@ def blas_threads():
     return calls[0]
 
 
+def spy_counts(monkeypatch, module, name, get):
+    """Replace module.name with a spy that records the BLAS thread count at
+    each call; returns the list of counts."""
+    inside = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        inside.append(get())
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return inside
+
+
+@pytest.fixture(scope="module")
+def planted_36():
+    return gen_synthetic(
+        SynthSpec("gaussian-planted", n_normal=285, n_outlier=15, dim=36, seed=12)
+    ).X
+
+
+CONFIG = DetectorConfig(contamination=0.05)
+
+
 class TestBlasThreadPin:
-    def test_one_thread_inside_count_restored_after(self, monkeypatch):
+    def test_one_thread_inside_count_restored_after(self, monkeypatch, planted_36):
+        get = blas_threads()
+        before = get()
+        eigh = spy_counts(monkeypatch, np.linalg, "eigh", get)
+        cholesky = spy_counts(monkeypatch, np.linalg, "cholesky", get)
+        detect("pkde", planted_36, CONFIG)
+        assert (eigh, cholesky) == ([1], [1, 1])
+        assert get() == before
+        detect("mahalanobis", planted_36, CONFIG)
+        assert (eigh, cholesky) == ([1, 1], [1, 1])
+        assert get() == before
+
+    def test_count_restored_when_eigh_raises(self, monkeypatch, planted_36):
         get = blas_threads()
         before = get()
         inside = []
-        eigh = np.linalg.eigh
-
-        def spy(A):
-            inside.append(get())
-            return eigh(A)
-
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        sym_eigen(np.diag([3.0, 2.0, 1.0]))
-        assert inside == [1]
-        assert get() == before
-
-    def test_count_restored_when_eigh_raises(self, monkeypatch):
-        get = blas_threads()
-        before = get()
 
         def fail(_):
+            inside.append(get())
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(NumericalError, match="did not converge"):
-            sym_eigen(np.eye(3))
-        assert get() == before
+        for name in ("pkde", "mahalanobis"):
+            with pytest.raises(NumericalError, match="did not converge"):
+                detect(name, planted_36, CONFIG)
+            assert get() == before
+        assert inside == [1, 1]
 
-    def test_covariance_count_restored(self):
+    def test_covariance_count_restored(self, monkeypatch, planted_36):
         get = blas_threads()
         before = get()
-        rng = np.random.default_rng(13)
-        covariance(center_columns(rng.standard_normal((300, 40)))[0])
-        assert get() == before
+        inside = spy_counts(monkeypatch, pca, "covariance", get)
+        for name in ("pkde", "mahalanobis"):
+            detect(name, planted_36, CONFIG)
+            assert get() == before
+        assert inside == [1, 1]
 
     def test_pkde_factorizations_on_one_thread(self, monkeypatch):
         # The bandwidth and the kernel sum's whitening each factor H once;
         # a threaded call there would wake OpenBLAS threads that then spin
         # on the cores the kernel-sum workers need.
         get = blas_threads()
-        inside = []
-        cholesky = np.linalg.cholesky
-
-        def spy(A):
-            inside.append(get())
-            return cholesky(A)
-
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        inside = spy_counts(monkeypatch, np.linalg, "cholesky", get)
         X = np.random.default_rng(14).standard_normal((200, 4))
         detect("pkde", X, DetectorConfig(contamination=0.05))
         assert inside == [1, 1]
 
-    def test_missing_symbol_same_eigenpairs(self, monkeypatch, fresh_blas_lookup):
+    def test_worker_count_same_inside_pin(self):
+        # detect holds the pin around the scorer; the block loops inside it
+        # must still get every worker, not the pinned count of 1.
+        get = blas_threads()
+        outside = linalg._worker_count()
+        with linalg._one_blas_thread():
+            assert get() == 1
+            assert linalg._worker_count() == outside
+        assert outside == max(1, get())
+
+    def test_missing_symbol_same_detections(self, monkeypatch, fresh_blas_lookup):
+        # Without the symbol nothing is pinned and there is one block worker.
+        # The covariance product then runs on however many threads OpenBLAS
+        # has, and the kernel sum in taller blocks, so both may round
+        # differently; the labels may not change.
         rng = np.random.default_rng(12)
         A = rng.standard_normal((300, 103))
-        S = covariance(center_columns(A)[0])
-        pinned = sym_eigen(S)
+        names = ("pkde", "mahalanobis")
+        pinned = [detect(name, A, CONFIG) for name in names]
         linalg._blas_thread_calls.cache_clear()
         monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
-        unpinned = sym_eigen(S)
+        unpinned = [detect(name, A, CONFIG) for name in names]
         assert linalg._blas_thread_calls() is None
-        assert np.array_equal(pinned.eigenvalues, unpinned.eigenvalues)
-        assert np.array_equal(pinned.eigenvectors, unpinned.eigenvectors)
+        for one, other in zip(pinned, unpinned):
+            assert np.array_equal(one.labels, other.labels)
+            np.testing.assert_allclose(other.scores, one.scores, rtol=1e-13, atol=0.0)
 
 
 @pytest.fixture

@@ -103,6 +103,10 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             sweep(["nope"], planted_dataset, [0.1])
 
+    def test_empty_detector_list_rejected(self, planted_dataset):
+        with pytest.raises(InvalidInputError, match="detector list is empty"):
+            sweep([], planted_dataset, [0.05])
+
     def test_non_finite_scores_raise(self, planted_dataset, monkeypatch):
         nan_scorer = lambda A, p, config: (np.full(A.shape[0], np.nan), 1)
         monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)

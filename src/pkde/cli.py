@@ -161,8 +161,11 @@ def _cmd_detect(args) -> int:
                 "fit_time": result.fit_time,
                 "score_time": result.score_time,
                 "points": [
-                    {"index": i, "score": float(s), "label": int(l)}
-                    for i, (s, l) in enumerate(zip(result.scores, result.labels))
+                    {"index": i, "score": s, "label": l, "exact": x}
+                    for i, (s, l, x) in enumerate(zip(
+                        result.scores.tolist(), result.labels.tolist(),
+                        result.exact.tolist(),
+                    ))
                 ],
             },
             indent=2,

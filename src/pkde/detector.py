@@ -3,7 +3,8 @@
 Pipeline: fit PCA on the data, keep enough components to cover the variance
 threshold (or a fixed count), fit a Scott-bandwidth KDE on the projected
 data, score every point by negative log density and label the K points with
-the lowest density, K = ceil(contamination * n).
+the lowest density, K = ceil(contamination * n). A score is exact where it
+decides the labels and a certified bound elsewhere (DetectionResult.exact).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
-from .kde import fit_kde, log_density_loo, scott_bandwidth
+from .kde import fit_kde, log_density_loo_top_k, scott_bandwidth
 from .linalg import _one_blas_thread, as_matrix, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
@@ -59,6 +60,9 @@ class DetectionResult:
     labels: np.ndarray  # 1 = outlier, exactly k_used ones
     k_used: int
     reduced_dim: int
+    # False where a PKDE score is a certified bound rather than exact: at
+    # least the exact score, and below the k_used-th largest score.
+    exact: np.ndarray
     # fit_time covers the whole scorer; score_time only the top-K cut.
     fit_time: float = 0.0
     score_time: float = 0.0
@@ -86,10 +90,11 @@ def k_from_contamination(contamination: float, n: int) -> int:
     return -(-int(whole + frac) * n // 10 ** (len(frac) - int(exp or 0)))
 
 
-def _pkde_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
-    """Negative log KDE density of every row in the reduced space.
+def _pkde_scores(A, p: int, config: DetectorConfig):
+    """Negative log KDE density of every row in the reduced space, exact
+    where it decides the top K and a certified bound elsewhere.
 
-    Returns (scores, reduced dimension used).
+    Returns (scores, reduced dimension used, exact mask).
     """
     if A.shape[0] < 3:
         raise InvalidInputError(f"need at least 3 rows, got {A.shape[0]}")
@@ -111,7 +116,10 @@ def _pkde_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
     # estimate (the self kernel is the same constant for every point) but it
     # stays resolvable in float64 when the self term dominates in high d.
     # An m-dimensional density at scale 2**p is the density of A over 2**(p*m).
-    return m * p * math.log(2.0) - log_density_loo(kde), m
+    offset = m * p * math.log(2.0)
+    k = k_from_contamination(config.contamination, A.shape[0])
+    log_density, exact = log_density_loo_top_k(kde, k, offset)
+    return offset - log_density, m, exact
 
 
 def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
@@ -120,6 +128,8 @@ def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
 
 
 def _knn_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
+    if A.shape[0] < 2:
+        raise InvalidInputError(f"need at least 2 rows, got {A.shape[0]}")
     k = min(config.neighbors, A.shape[0] - 1)
     return np.ldexp(baselines.knn_dist_score(A, k), p), A.shape[1]
 
@@ -137,7 +147,8 @@ def _mahalanobis_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, 
 
 # detector id -> callable(A, p, config) -> (scores, effective dimension) of
 # A * 2**p, the matrix detect() has checked; max |A| is in [0.5, 1). LOF and
-# Mahalanobis scores do not depend on the scale, so they ignore p.
+# Mahalanobis scores do not depend on the scale, so they ignore p. PKDE adds
+# a third item, the mask of exact scores; the others are exact everywhere.
 _SCORERS = {
     "pkde": _pkde_scores,
     "mahalanobis": _mahalanobis_scores,
@@ -160,7 +171,7 @@ def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
     A, p = pow2_scale(as_matrix(X))
     t0 = time.perf_counter()
     with _one_blas_thread():
-        scores, dim = scorer(A, p, config)
+        scores, dim, *exact = scorer(A, p, config)
     t1 = time.perf_counter()
     bad = int(np.sum(~np.isfinite(scores)))
     if bad:
@@ -175,6 +186,7 @@ def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
         labels=labels,
         k_used=k,
         reduced_dim=dim,
+        exact=exact[0] if exact else np.ones(scores.shape[0], dtype=bool),
         fit_time=t1 - t0,
         score_time=t2 - t1,
     )

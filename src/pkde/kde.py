@@ -3,7 +3,9 @@ bandwidth, evaluated by exact summation over the sample points.
 
 The estimate at x is the average of Gaussian kernels centered at each sample:
 f(x) = (1/n) * sum_i K_H(x - x_i), with K_H the multivariate normal density
-with covariance H. All ranking paths work in log space.
+with covariance H. All ranking paths work in log space. log_density_loo_top_k
+finds the k lowest leave-one-out densities from local lower bounds, summing
+exactly only the rows that can fall among them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # precision below about 2.2e-308, and n such terms stay negligible against
 # 1e-280 for any n a dense sum can reach.
 _UNDERFLOW_SUM = 1e-280
+
+# log_density_loo_top_k bounds each row by its kernel sum over leaves of at
+# most this many rows: its own and the one on each side.
+_LEAF_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -120,76 +126,124 @@ def density(model: KdeModel, query) -> float:
         raise InvalidInputError(
             f"query has length {q.shape[0]}, model is {model.d}-dimensional"
         )
-    return float(np.exp(_log_kernel_sum(model, q[None, :])[0]))
+    return float(np.exp(_log_kernel_sum(_Whitened(model), q[None, :])[0]))
 
 
-def _log_kernel_sum(model: KdeModel, Q: np.ndarray | None) -> np.ndarray:
-    """log of the average kernel over the samples at each row of Q.
+class _Whitened:
+    """The samples of a KDE model, whitened once: z = Wᵀ(x - mean) with
+    W Wᵀ = H_inv, which makes every kernel isotropic.
 
-    Q=None scores the samples themselves with the self term left out, so the
-    average runs over the other n-1. Points are whitened, z = Wᵀ(x - mean)
-    with W Wᵀ = H_inv, which makes every kernel isotropic; centering first
-    keeps the expansion below from cancelling badly far from the origin.
-
-    The norms ride in the GEMM: samples are lifted to [z, 1, -‖z‖²/2] and
-    query rows to [z, -‖z‖²/2, 1], so one product gives -‖z_q - z_i‖²/2.
-    Rows go in linalg.row_blocks blocks, each exponentiated in place in its
-    worker's buffer and summed unshifted. With Q=None the matrix is
-    symmetric, so block [s, e) meets only columns [s, n): its row sums go to
-    rows [s, e), and its column sums past the block go to rows [e, n), which
-    covers each pair once. Both are added in block order, so the result does
-    not depend on which worker ran which block. A row sum below
-    _UNDERFLOW_SUM (or NaN) may have lost terms to underflow; such rows are
-    summed again exactly, shifted by their largest term.
+    B holds the samples lifted to [z, 1, -‖z‖²/2], and B[:, swap] the same
+    rows as [z, -‖z‖²/2, 1], so B[i, swap] @ B[j] = -‖z_i - z_j‖²/2.
     """
-    n, m = model.n, model.d
-    shift = model.samples.mean(axis=0)
 
-    def lift(X, h):
-        """Whitened rows with -‖z‖²/2 in column h and 1 in the other extra one."""
+    def __init__(self, model: KdeModel):
+        m = model.d
+        self.model = model
+        self.shift = model.samples.mean(axis=0)
+        # detect holds OpenBLAS to one thread around this too: a threaded call
+        # would wake OpenBLAS threads that spin on the cores the workers need.
+        self.W = np.linalg.cholesky(model.bandwidth.H_inv)
+        self.B = self.lift(model.samples, m + 1)
+        self.swap = np.r_[:m, m + 1, m]
+
+    def lift(self, X: np.ndarray, h: int) -> np.ndarray:
+        """Whitened rows of X with -‖z‖²/2 in column h and 1 in the other
+        extra one."""
+        m = self.model.d
         out = np.empty((X.shape[0], m + 2))
-        np.matmul(X - shift, W, out=out[:, :m])
+        np.matmul(X - self.shift, self.W, out=out[:, :m])
         out[:, m:] = 1.0
         out[:, h] = -0.5 * np.einsum("ij,ij->i", out[:, :m], out[:, :m])
         return out
 
-    # detect holds OpenBLAS to one thread around this too: a threaded call
-    # would wake OpenBLAS threads that spin on the cores the workers need.
-    W = np.linalg.cholesky(model.bandwidth.H_inv)
-    B = lift(model.samples, m + 1)
-    swap = np.r_[:m, m + 1, m]
 
-    def rows(idx):
-        return B[idx][:, swap] if Q is None else lift(Q[idx], m)
+def _products(rows: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
+    """out = rows @ B.T, each entry rounded the same whatever the number of
+    rows: numpy sends a one-row product to gemv, which rounds differently
+    from gemm, so a lone row goes in twice."""
+    if rows.shape[0] == 1:
+        out[:] = np.matmul(np.vstack([rows, rows]), B.T)[:1]
+    else:
+        np.matmul(rows, B.T, out=out)
+
+
+def _log_kernel_sum(
+    wh: _Whitened, Q: np.ndarray | None, rows=None, base=None, cols=None
+) -> np.ndarray:
+    """log of the average kernel over the samples at each row of Q.
+
+    Q=None scores sample rows instead, with the self term left out, so the
+    average runs over the other n-1:
+    - rows=None scores all n samples in one symmetric pass;
+    - `rows` (sample indices) alone scores those rows, each summed over all
+      n samples in one piece, so its sum depends neither on the block height
+      nor on which other rows are scored; cols[j], if cols is given, gains
+      sample j's sum over `rows`;
+    - `rows` with `base` scores those rows in one symmetric pass among
+      themselves, plus base[i], row i's sum over the samples outside `rows`.
+
+    Points are whitened (_Whitened); centering first keeps the expansion
+    below from cancelling badly far from the origin. The norms ride in the
+    GEMM: samples are lifted to [z, 1, -‖z‖²/2] and query rows to
+    [z, -‖z‖²/2, 1], so one product gives -‖z_q - z_i‖²/2.
+    Rows go in linalg.row_blocks blocks, each exponentiated in place in its
+    worker's buffer and summed unshifted. A symmetric pass over u rows pairs
+    block [s, e) only with columns [s, u): its row sums go to rows [s, e),
+    and its column sums past the block go to rows [e, u), which covers each
+    pair once. Both are added in block order, so the result does not depend
+    on which worker ran which block. A row sum below _UNDERFLOW_SUM (or NaN)
+    may have lost terms to underflow; such rows are summed again exactly over
+    all n samples, shifted by their largest term.
+    """
+    model, B, swap = wh.model, wh.B, wh.swap
+    n, m = model.n, model.d
+    idx = np.arange(n) if rows is None else np.asarray(rows)  # with Q=None
+    whole = rows is not None and base is None
+    symmetric = Q is None and not whole
+    S = B[idx] if symmetric and rows is not None else B  # the columns met
+
+    def lifted(i):
+        return wh.lift(Q[i], m) if Q is not None else B[idx[i]][:, swap]
 
     def block_sums(s, e, buf):
-        c = s if Q is None else 0
-        k = buf[: (e - s) * (n - c)].reshape(e - s, n - c)
-        np.matmul(rows(slice(s, e)), B[c:].T, out=k)
-        np.exp(k, out=k)
-        if Q is None:
+        if symmetric:
+            u = S.shape[0]
+            k = buf[: (e - s) * (u - s)].reshape(e - s, u - s)
+            _products(S[s:e][:, swap], S[s:], k)
+            np.exp(k, out=k)
             np.fill_diagonal(k, 0.0)
             return k.sum(axis=1), k[:, e - s :].sum(axis=0)
-        return k.sum(axis=1), None
+        k = buf[: (e - s) * n].reshape(e - s, n)
+        _products(lifted(slice(s, e)), B, k)
+        np.exp(k, out=k)
+        if Q is not None:
+            return k.sum(axis=1), None
+        k[np.arange(e - s), idx[s:e]] = 0.0
+        return k.sum(axis=1), None if cols is None else k.sum(axis=0)
 
     def shifted_sums(s, e, buf):
-        idx = redo[s:e]
-        k = buf[: idx.size * n].reshape(idx.size, n)
-        np.matmul(rows(idx), B.T, out=k)
+        i = redo[s:e]
+        k = buf[: i.size * n].reshape(i.size, n)
+        _products(lifted(i), B, k)
         np.minimum(k, 0.0, out=k)
         if Q is None:
-            k[np.arange(idx.size), idx] = -np.inf
+            k[np.arange(i.size), idx[i]] = -np.inf
         peak = k.max(axis=1)
         k -= peak[:, None]
         np.exp(k, out=k)
         return peak + np.log(k.sum(axis=1))
 
-    nq = n if Q is None else Q.shape[0]
-    sums = np.zeros(nq)
-    for s, e, (row, col) in row_blocks(nq, n, block_sums):
+    nq = idx.size if Q is None else Q.shape[0]
+    sums = np.zeros(nq) if base is None else np.array(base, dtype=np.float64)
+    for s, e, (row, col) in row_blocks(nq, S.shape[0], block_sums):
         sums[s:e] += row
-        if col is not None:
+        if col is None:
+            continue
+        if symmetric:
             sums[e:] += col
+        else:
+            cols += col
 
     redo = np.flatnonzero(~(sums >= _UNDERFLOW_SUM))
     sums[redo] = 1.0
@@ -211,7 +265,7 @@ def log_density_all(model: KdeModel, queries) -> np.ndarray:
         raise InvalidInputError(
             f"queries have {Q.shape[1]} columns, model is {model.d}-dimensional"
         )
-    return _log_kernel_sum(model, Q)
+    return _log_kernel_sum(_Whitened(model), Q)
 
 
 def log_density_loo(model: KdeModel) -> np.ndarray:
@@ -224,4 +278,133 @@ def log_density_loo(model: KdeModel) -> np.ndarray:
     kernel K_H(0) dwarfs every other term, and the self-inclusive sum
     rounds to the same value for every point.
     """
-    return _log_kernel_sum(model, None)
+    return _log_kernel_sum(_Whitened(model), None)
+
+
+def _leaf_order(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the rows of Z in leaf order, and where each leaf
+    starts in it, with len(Z) last.
+
+    Each segment of more than _LEAF_ROWS rows is split on its widest
+    coordinate, at the boundary between two distinct values nearest its
+    median, so equal values stay on one side and which rows share a leaf
+    depends only on the values, not on the row order. A segment of identical
+    rows is cut at its middle, since its rows are interchangeable.
+    """
+    n = Z.shape[0]
+    ZT = np.ascontiguousarray(Z.T)  # its rows reduce much faster than Z's columns
+    order = np.arange(n)
+    starts = []
+    todo = [(0, n)]
+    while todo:
+        s, e = todo.pop()
+        if e - s <= _LEAF_ROWS:
+            starts.append(s)
+            continue
+        idx = order[s:e]
+        P = np.take(ZT, idx, axis=1)  # C-ordered, unlike ZT[:, idx]
+        span = P.max(axis=1) - P.min(axis=1)
+        c = int(np.argmax(span))
+        h = (e - s) // 2
+        if span[c] == 0.0:
+            cut = h
+        else:
+            v = P[c]
+            median = np.partition(v, h)[h]
+            left = v < median
+            lo = int(np.count_nonzero(left))
+            hi = int(np.count_nonzero(v <= median))
+            cut = lo
+            if lo == 0 or (hi < e - s and hi - h < h - lo):
+                left, cut = v <= median, hi
+            order[s:e] = np.concatenate([idx[left], idx[~left]])
+        todo += [(s + cut, e), (s, s + cut)]  # the left half comes off first
+    return order, np.array(starts + [n])
+
+
+def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
+    """A lower bound on log_density_loo at every sample, or None when it
+    would cost as many kernel terms as the symmetric full sum.
+
+    The bound of a row is its self-masked kernel sum over its own leaf and
+    the neighbouring leaf on each side (_leaf_order, on the whitened rows):
+    every kernel term is positive, so a partial sum is a lower bound. Rows
+    go in row_blocks blocks of whole leaves, and a row's sum runs over its
+    window in one piece, so it depends on neither the block height nor the
+    worker count. A sum below _UNDERFLOW_SUM counts as 0.
+    """
+    model = wh.model
+    n, m = model.n, model.d
+    order, starts = _leaf_order(wh.B[:, :m])
+    leaves = np.arange(starts.size - 1)
+    lo = starts[np.maximum(leaves - 1, 0)]
+    hi = starts[np.minimum(leaves + 2, leaves.size)]
+    sizes = np.diff(starts)
+    if int(sizes @ (hi - lo)) >= n * (n - 1) // 2:
+        return None
+
+    def leaf_sums(s, e, buf):
+        out = []
+        for j in range(s, e):
+            a, b = starts[j] - lo[j], starts[j + 1] - lo[j]  # the leaf in its window
+            window = wh.B[order[lo[j] : hi[j]]]
+            k = buf[: (b - a) * window.shape[0]].reshape(b - a, window.shape[0])
+            _products(window[a:b][:, wh.swap], window, k)
+            np.exp(k, out=k)
+            k[np.arange(b - a), np.arange(a, b)] = 0.0
+            out.append(k.sum(axis=1))
+        return np.concatenate(out)
+
+    sums = np.empty(n)
+    for s, e, block in row_blocks(leaves.size, int(np.max(sizes * (hi - lo))), leaf_sums):
+        sums[order[starts[s] : starts[e]]] = block
+    sums[~(sums >= _UNDERFLOW_SUM)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(sums, out=sums)
+    return out + (_log_kernel_const(model.bandwidth, m) - np.log(n - 1))
+
+
+def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
+    """(log density, exact): log_density_loo where exact is True, and a lower
+    bound on it elsewhere, such that the k lowest exact values are the k
+    lowest of the full sum and every bound lies above them.
+
+    Rows whose bound (_log_local_bounds) may fall among the k lowest get
+    exact sums, in two rounds through _log_kernel_sum. Round 1 sums the k
+    rows with the lowest bounds; t is the highest of those k values. Round 2
+    sums every other row with a bound at or below t plus a slack of
+    1e-12 * max(1, |t|, |offset|). A row left out then has a bound, and so
+    a density, above t, and t is at least the k-th lowest density, which
+    proves the k lowest exact values are the k lowest of all. The slack
+    covers the rounding between a partial sum and a full sum, and of
+    offset - value, the scores the caller makes; so offset - bound is at
+    least the row's exact score and strictly below the k-th highest score.
+
+    Everything is exact, through the symmetric full sum, when k > n/4, when
+    the bounds would cost as much as the full sum, or when round 2 would make
+    more than n/4 rows exact. In the last case round 1's rows are done, and
+    their sums over every other row are kept, so the symmetric pass runs
+    only among the rest.
+    """
+    n = model.n
+    if not 1 <= k <= n:
+        raise InvalidInputError(f"k={k} out of range [1, {n}]")
+    wh = _Whitened(model)
+    out = None if 4 * k > n else _log_local_bounds(wh)  # replaced where summed
+    if out is None:
+        return _log_kernel_sum(wh, None), np.ones(n, dtype=bool)
+    exact = np.zeros(n, dtype=bool)
+    first = np.argsort(out, kind="stable")[:k]
+    exact[first] = True
+    cols = np.zeros(n)
+    out[first] = _log_kernel_sum(wh, None, rows=first, cols=cols)
+    t = float(out[first].max())
+    t += 1e-12 * max(1.0, abs(t), abs(offset))
+    second = np.flatnonzero((out <= t) & ~exact)
+    if 4 * (k + second.size) > n:
+        rest = np.flatnonzero(~exact)
+        out[rest] = _log_kernel_sum(wh, None, rows=rest, base=cols[rest])
+        return out, np.ones(n, dtype=bool)
+    out[second] = _log_kernel_sum(wh, None, rows=second)
+    exact[second] = True
+    return out, exact

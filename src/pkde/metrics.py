@@ -99,9 +99,10 @@ def sweep(
 ) -> list[EvalReport]:
     """Evaluate each detector over a contamination grid against ground truth.
 
-    Scores are computed once per (detector, repeat) and re-thresholded for
-    every grid point: none of the detectors' rankings depend on the
-    contamination, only the cut does.
+    Scores are computed once per (detector, repeat), at the largest
+    contamination of the grid, and re-thresholded for every grid point: none
+    of the detectors' rankings depend on the contamination, only the cut
+    does, and PKDE's scores are exact for every cut up to the largest.
     """
     if dataset.labels is None:
         raise InvalidInputError("sweep needs a labeled dataset")
@@ -115,7 +116,7 @@ def sweep(
         raise InvalidInputError("the detector list is empty")
 
     base = DetectorConfig(
-        contamination=grid[0],
+        contamination=max(grid),
         variance_threshold=variance_threshold,
         fixed_dim=fixed_dim,
         bandwidth_rule=bandwidth_rule,

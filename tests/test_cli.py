@@ -98,6 +98,25 @@ class TestDetect:
         assert doc["k_used"] == 5
         assert len(doc["points"]) == 100
 
+    def test_json_reports_exactness(self, tmp_path):
+        # 1900 + 100 rows take PKDE's top-K path: the labelled rows are
+        # exact, and the scores of inexact rows are bounds below them.
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data, n=1900, outliers=100, dim=8)) == 0
+        out = tmp_path / "scores.json"
+        argv = ["detect", "-i", str(data), "--label-column", "label",
+                "--contamination", "0.05", "--format", "json", "-o", str(out)]
+        assert run(argv) == 0
+        points = json.loads(out.read_text())["points"]
+        assert {type(p["exact"]) for p in points} == {bool}
+        inexact = [p for p in points if not p["exact"]]
+        assert len(inexact) > 1500
+        assert all(p["exact"] for p in points if p["label"] == 1)
+        lowest = min(p["score"] for p in points if p["label"] == 1)
+        assert max(p["score"] for p in inexact) < lowest
+        assert run(argv[:-4] + ["--detector", "lof", "--format", "json", "-o", str(out)]) == 0
+        assert all(p["exact"] for p in json.loads(out.read_text())["points"])
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
         rc = run(["detect", "-i", str(missing), "--contamination", "0.1"])
@@ -200,6 +219,13 @@ class TestDetect:
         assert "need at least 3 rows, got 2" in capsys.readouterr().err
         assert run(argv + ["knn-dist"]) == 0
         assert run(argv + ["mahalanobis"]) == 0
+
+    def test_one_row(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("a,b\n1,2\n")
+        argv = ["detect", "-i", str(data), "--contamination", "0.5", "--detector"]
+        assert run(argv + ["knn-dist"]) == 1
+        assert "need at least 2 rows, got 1" in capsys.readouterr().err
 
     def test_unknown_flag_exit_1(self):
         assert run(["detect", "--frobnicate"]) == 1

@@ -289,6 +289,19 @@ class TestDetect:
             assert result.fit_time >= 0.0
             assert result.score_time >= 0.0
 
+    def test_exact_mask(self):
+        # Only PKDE's top-K path leaves rows inexact, and only outside the
+        # labelled ones.
+        ds = planted(n_normal=3800, n_outlier=200, dim=8, seed=5)
+        cfg = DetectorConfig(contamination=0.05)
+        results = {name: detect(name, ds.X, cfg) for name in DETECTOR_IDS}
+        for name, result in results.items():
+            assert result.exact.shape == (ds.n,) and result.exact.dtype == bool
+            assert result.exact.all() or name == "pkde", name
+        pkde = results["pkde"]
+        assert pkde.exact[pkde.labels == 1].all()
+        assert pkde.exact.sum() < ds.n / 4
+
     def test_baselines_find_planted_outliers(self):
         ds = planted(seed=4)
         cfg = DetectorConfig(contamination=0.05)

@@ -3,8 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pkde import linalg
+from pkde import kde, linalg
+from pkde.datasets import SynthSpec, gen_synthetic
+from pkde.detector import k_from_contamination, top_k_select
 from pkde.errors import InvalidInputError, SingularBandwidthError
 from pkde.kde import (
     Bandwidth,
@@ -13,6 +17,7 @@ from pkde.kde import (
     gaussian_kernel,
     log_density_all,
     log_density_loo,
+    log_density_loo_top_k,
     scott_bandwidth,
 )
 
@@ -320,4 +325,142 @@ class TestLogDensityLoo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 1.05 * 8 * 4_000_000
+
+
+def scott_model(X):
+    X = np.asarray(X, dtype=float)
+    return fit_kde(X, scott_bandwidth(np.atleast_2d(np.cov(X.T)), X.shape[0]))
+
+
+def planted_model(n_normal, n_outlier, dim, seed=0):
+    spec = SynthSpec("gaussian-planted", n_normal=n_normal, n_outlier=n_outlier,
+                     dim=dim, seed=seed)
+    return scott_model(gen_synthetic(spec).X)
+
+
+def assert_certified(out, exact, oracle, k):
+    """The score contract of log_density_loo_top_k against the full sum:
+    exact values match it, bounds lie at or below it and above the k-th
+    lowest value, and the k lowest are the full sum's k lowest."""
+    tol = 1e-12 * np.maximum(np.abs(oracle), 1.0)
+    assert np.all(np.abs(out[exact] - oracle[exact]) <= tol[exact])
+    assert np.all(out[~exact] <= oracle[~exact] + tol[~exact])
+    kth = np.sort(out)[k - 1]
+    assert np.all(out[~exact] > kth)
+    ranked = np.sort(oracle)
+    # Rows the full sum ties within rounding at the k-th value may swap.
+    if k == oracle.size or ranked[k] - ranked[k - 1] > 4 * tol.max():
+        assert np.array_equal(top_k_select(-out, k), top_k_select(-oracle, k))
+
+
+class TestLogDensityLooTopK:
+    @given(
+        st.one_of(st.none(), st.floats(min_value=0.02, max_value=0.1)),
+        st.integers(min_value=300, max_value=3000),
+        st.integers(min_value=1, max_value=8),
+        st.floats(min_value=0.0, max_value=1.0).map(lambda u: 0.01 * 30.0**u),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_sum_oracle(self, planted, n, m, contamination, seed):
+        # Unplanted inputs, or a planted share of outliers; contamination
+        # from 0.01 to 0.3, log-uniform, so that about half the draws take
+        # the top-K path and the rest one of its fallbacks: k > n/4, bounds
+        # as dear as the full sum, or more than n/4 candidates.
+        if planted is None:
+            model = scott_model(gen_synthetic(SynthSpec("gaussian", n, 0, m, seed)).X)
+        else:
+            outliers = int(planted * n)
+            model = planted_model(n - outliers, outliers, m, seed)
+        k = k_from_contamination(contamination, n)
+        out, exact = log_density_loo_top_k(model, k)
+        assert_certified(out, exact, log_density_loo(model), k)
+
+    def test_engages_on_planted_data(self):
+        # A path that always fell back would pass every other test here.
+        model = planted_model(3800, 200, 8)
+        out, exact = log_density_loo_top_k(model, 200)
+        assert exact.sum() < 4000 / 4
+        assert_certified(out, exact, log_density_loo(model), 200)
+
+    def test_boundary_ties_follow_whole_row_sums(self):
+        # Far apart clusters of 3 to 8 points, each point three times: every
+        # row's window holds every non-zero term of its sum, so its bound
+        # equals its exact density up to rounding, and the copies of a point
+        # tie. A bound may round above the value it bounds; the slack keeps
+        # such a row in the candidates when the cut falls inside its ties.
+        # Exact sums must not depend on which rows are summed with them.
+        rng = np.random.default_rng(1)
+        clusters = [[40.0 * j, 0.0] + 0.3 * rng.standard_normal((size, 2))
+                    for j, size in enumerate(rng.integers(3, 9, 80))]
+        X = np.vstack(clusters * 3)
+        n = X.shape[0]
+        model = fit_kde(X, make_bandwidth(np.eye(2) * 0.3))
+        every = kde._log_kernel_sum(kde._Whitened(model), None, rows=np.arange(n))
+        for k in range(1, n // 4):
+            out, exact = log_density_loo_top_k(model, k)
+            assert not exact.all()
+            assert np.array_equal(top_k_select(-out, k), top_k_select(-every, k)), k
+            assert np.array_equal(out[exact], every[exact])
+
+    def test_fallback_reuses_round_one(self, monkeypatch):
+        # Unplanted data: more than n/4 rows fail their bound, and the
+        # symmetric pass runs only among the rows round 1 left.
+        calls = []
+        real = kde._log_kernel_sum
+
+        def spy(wh, Q, rows=None, base=None, cols=None):
+            calls.append((None if rows is None else len(rows), base is not None))
+            return real(wh, Q, rows=rows, base=base, cols=cols)
+
+        monkeypatch.setattr(kde, "_log_kernel_sum", spy)
+        model = scott_model(gen_synthetic(SynthSpec("gaussian", 2400, 0, 4, seed=3)).X)
+        out, exact = log_density_loo_top_k(model, 120)
+        assert calls == [(120, False), (2280, True)]
+        assert exact.all()
+        oracle = real(kde._Whitened(model), None)
+        np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, k", [(100, 30), (600, 30)])
+    def test_full_sum_without_bounds(self, n, k):
+        # k > n/4, or leaves so few that the bounds cost a full sum.
+        model = scott_model(np.random.default_rng(61).standard_normal((n, 2)))
+        out, exact = log_density_loo_top_k(model, k)
+        assert exact.all()
+        assert np.array_equal(out, log_density_loo(model))
+
+    def test_k_out_of_range(self):
+        model = scott_model(np.random.default_rng(62).standard_normal((10, 2)))
+        for k in (0, 11):
+            with pytest.raises(InvalidInputError):
+                log_density_loo_top_k(model, k)
+
+    def test_leaves_depend_only_on_values(self):
+        rng = np.random.default_rng(63)
+        Z = np.vstack([rng.standard_normal((1500, 3)), np.ones((600, 3))])
+        Z[:300, 0] = 0.25  # ties in a coordinate that is split on
+        perm = rng.permutation(Z.shape[0])
+        leaves = []
+        for X in (Z, Z[perm]):
+            order, starts = kde._leaf_order(X)
+            assert np.diff(starts).max() <= kde._LEAF_ROWS
+            leaves.append(sorted(
+                tuple(sorted(map(tuple, X[order[a:b]]))) for a, b in zip(starts, starts[1:])
+            ))
+        assert leaves[0] == leaves[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_peak_memory_within_block_budget(self, monkeypatch, workers):
+        # The bound pass and both rounds each stay within the 4_000_000
+        # floats (32 MB) of their block buffers, and never overlap.
+        monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
+        model = planted_model(5700, 300, 3)
+        tracemalloc.start()
+        try:
+            _, exact = log_density_loo_top_k(model, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not exact.all()
         assert peak < 1.05 * 8 * 4_000_000

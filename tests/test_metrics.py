@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from pkde import detector
+from pkde import detector, metrics
 from pkde.datasets import SynthSpec, gen_synthetic
+from pkde.detector import DetectorConfig, detect
 from pkde.errors import InvalidInputError, NumericalError
 from pkde.metrics import (
     EvalReport,
@@ -112,6 +113,30 @@ class TestSweep:
         monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)
         with pytest.raises(NumericalError, match="non-finite"):
             sweep(["pkde"], planted_dataset, [0.05])
+
+    def test_cuts_match_fresh_detect(self, monkeypatch):
+        # PKDE scores are exact only where they decide the top K, so sweep
+        # detects at the largest contamination and every cut falls inside it.
+        # Cuts past the 100 outliers are needed to tell: at 0.01 the top-K
+        # path already makes every outlier exact.
+        ds = gen_synthetic(
+            SynthSpec("gaussian-planted", n_normal=1900, n_outlier=100, dim=8, seed=5)
+        )
+        grid = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08]
+        cuts = []
+        real = metrics.top_k_select
+
+        def recorded(scores, k):
+            cuts.append(real(scores, k))
+            return cuts[-1]
+
+        monkeypatch.setattr(metrics, "top_k_select", recorded)
+        reports = sweep(["pkde"], ds, grid)
+        for c, report, labels in zip(grid, reports, cuts, strict=True):
+            fresh = detect("pkde", ds.X, DetectorConfig(contamination=c))
+            assert np.array_equal(labels, fresh.labels), c
+            assert report.f1 == f1_score(fresh.labels, ds.labels)["f1"]
+        assert not fresh.exact.all()  # the top-K path ran at 0.08
 
     def test_default_grid(self):
         grid = default_grid()

@@ -12,13 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDuplicatesError, InvalidInputError
+from .errors import DataError, DegenerateDuplicatesError, InvalidInputError
 from .linalg import as_matrix, row_blocks
 from .pca import fit_pca, project
 
 # Condition-number bound past which the Mahalanobis covariance is ridged.
 _COND_MAX = 1e12
 _RIDGE_EPS = 1e-8
+
+# knn_table's threshold is the k-th largest estimate among every this many
+# columns of a row.
+_SAMPLE_STRIDE = 8
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -35,33 +42,79 @@ def knn_table(X, k: int) -> NeighborTable:
     """Exact k-nearest-neighbor table, built one block of rows at a time in
     O(block * n) memory; no n x n matrix is formed.
 
+    The table is that of a dense matrix of difference-form distances,
+    sqrt(sum_l (a_il - a_jl)^2) summed over l in order, each row stably
+    sorted so that ties go to the lower index; the difference form does not
+    cancel far from the origin. Only about k columns per row get one.
+
     Blocks come from linalg.row_blocks, as in the kernel sum, and run on its
-    worker threads. Each row keeps every column at or below its k-th
-    distance, in index order, and a stable sort by distance then picks k of
-    them, so ties at the boundary go to the lower index exactly as a full
-    stable sort would. Every row is found alone, so the table does not
-    depend on the block size.
+    worker threads. In each block one GEMM on the centred rows, lifted to
+    [c, 1, -‖c‖²/2] and [c, -‖c‖²/2, 1], estimates -d²/2 for every pair, and
+    M bounds its rounding error. A row keeps the columns whose estimate is
+    within 2M of the k-th largest in a sample of its columns (every
+    _SAMPLE_STRIDE-th when n is large enough, else all), then those within
+    2M of its own k-th largest estimate; no column that can rank k or
+    better is lost. The survivors are ranked by (exact distance, index).
+    So the table depends neither on the block size nor on the worker count.
     """
     A = as_matrix(X)
-    n = A.shape[0]
+    n, d = A.shape
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k={k} out of range [1, {n - 1}]")
-    sq = np.sum(A * A, axis=1)
+    lifted = np.empty((n, d + 2))
+    C = np.subtract(A, A.mean(axis=0), out=lifted[:, :d])
+    sq = np.einsum("ij,ij->i", C, C)
+    if not np.isfinite(4.0 * sq.max()):  # 4 max‖c‖² bounds every d² below
+        raise DataError("squared distances overflow float64; rescale the data")
+    lifted[:, d] = 1.0
+    lifted[:, d + 1] = -0.5 * sq
+    swap = np.r_[:d, d + 1, d]  # lifted[i, swap] @ lifted[j] = -d²/2
+    # slack is 2M. M = 4(d + 2)uN bounds |estimate + D²/2|, D the exact
+    # distance below, with u the unit roundoff and N = ‖c_i‖² + max_j ‖c_j‖²,
+    # so that d²/2 <= N: the GEMM over d + 2 terms with the rounded lifted
+    # norms errs by at most (1.5d + 2)uN; centring by 2uN, since the rounded
+    # c_i - c_j moves d²/2 by at most u(‖c_i‖ + ‖c_j‖)²; the difference form
+    # and its sqrt by (d + 4)uN. That is (2.5d + 8)uN; the rest covers terms
+    # of order u² and the rounding of N and of each threshold, and (d + 2)
+    # subnormal units per term cover underflow.
+    slack = 8.0 * (d + 2) * (_UNIT_ROUNDOFF * (sq + sq.max()) + _SUBNORMAL)
+    stride = _SAMPLE_STRIDE if n >= 2 * _SAMPLE_STRIDE * (k + 1) else 1
 
     def block(s, e, buf):
-        dist = buf[: (e - s) * n].reshape(e - s, n)
-        np.matmul(A[s:e], A.T, out=dist)
-        dist *= -2.0
-        dist += sq
-        dist += sq[s:e, None]
-        np.maximum(dist, 0.0, out=dist)
-        np.sqrt(dist, out=dist)
-        dist[np.arange(e - s), np.arange(s, e)] = np.inf  # self never a neighbor
-        indices = np.empty((e - s, k), dtype=np.intp)
-        for i, row in enumerate(dist):
-            cand = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1])
-            indices[i] = cand[np.argsort(row[cand], kind="stable")[:k]]
-        return indices, np.take_along_axis(dist, indices, axis=1)
+        r = e - s
+        est = buf[: r * n].reshape(r, n)
+        np.matmul(lifted[s:e][:, swap], lifted.T, out=est)
+        est[np.arange(r), np.arange(s, e)] = -np.inf  # self never a neighbor
+        # The sample holds at least k columns besides the row itself (2k + 1
+        # when strided), so at least k columns have an estimate at or above
+        # t, and so -D²/2 at or above t - M: a column that ranks k or better
+        # has -D²/2 at or above t - M too, and so an estimate at or above
+        # t - 2M.
+        t = np.partition(est[:, ::stride], -k, axis=1)[:, -k]
+        flat = np.flatnonzero(est >= (t - slack[s:e])[:, None])
+        row = flat // n
+        cand = est.ravel()[flat]
+        # The same test against each row's own k-th estimate, found by
+        # partitioning the candidates laid out one row per buffer row.
+        counts = np.bincount(row, minlength=r)
+        width = int(counts.max())
+        pad = buf[: r * width].reshape(r, width)
+        pad.fill(-np.inf)
+        pad[row, np.arange(flat.size) - (np.cumsum(counts) - counts)[row]] = cand
+        pad.partition(width - k, axis=1)
+        keep = cand >= (pad[:, width - k] - slack[s:e])[row]
+        row, flat = row[keep], flat[keep]
+        col = flat - row * n
+        d2 = np.zeros(row.size)
+        for a in A.T:
+            diff = a[row + s] - a[col]
+            diff *= diff
+            d2 += diff
+        dist = np.sqrt(d2, out=d2)
+        order = np.lexsort((col, dist, row))
+        first = np.searchsorted(row, np.arange(r))
+        pick = order[first[:, None] + np.arange(k)]
+        return col[pick], dist[pick]
 
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k))

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ from .errors import InvalidInputError, ParseError
 from .linalg import as_matrix
 
 SYNTH_KINDS = ("gaussian", "gaussian-cov", "dual-density", "gaussian-planted")
+
+# write_csv formats and writes this many rows at a time.
+_WRITE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -131,12 +135,11 @@ def _parse_row(row: list[str], width: int, rownum: int) -> list[float]:
     return [_parse_cell(cell, rownum, j) for j, cell in enumerate(row)]
 
 
-def load_csv(path, has_header: bool = True, label_column: str | None = None,
-             name: str | None = None) -> Dataset:
-    """Load a rectangular numeric CSV, optionally splitting off a {0,1}
-    label column selected by header name or by "last". Cells are parsed in
-    one numpy call; only if that fails are the rows walked in order to name
-    the first ragged row or bad cell."""
+def _read_rows(path, has_header: bool) -> tuple[list[str] | None, np.ndarray]:
+    """(header, data) through the csv module: quotes honoured, cells
+    stripped, blank rows dropped. The cells are parsed in one numpy call;
+    only if that fails are the rows walked in order to name the first ragged
+    row or bad cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
     rows = [row for row in rows if any(row)]
@@ -158,6 +161,42 @@ def load_csv(path, has_header: bool = True, label_column: str | None = None,
         data = np.array(
             [_parse_row(row, len(rows[0]), i) for i, row in enumerate(rows, first)]
         )
+    return header, data
+
+
+def _read_loadtxt(path, has_header: bool) -> tuple[list[str] | None, np.ndarray] | None:
+    """(header, data) as _read_rows gives it, with the header row read by the
+    csv module and the rest of the file streamed through np.loadtxt's C
+    parser; or None where _read_rows must decide: loadtxt failed (a quote, a
+    ragged row, a cell it cannot parse) or found no rows or a non-finite
+    value."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = None
+            if has_header:
+                rows = ([cell.strip() for cell in row] for row in csv.reader(fh))
+                header = next((row for row in rows if any(row)), None)
+                if header is None:
+                    return None
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except Exception:  # whatever went wrong, _read_rows reads it or reports it
+        return None
+    if data.size == 0 or not np.all(np.isfinite(data)):
+        return None
+    return header, data
+
+
+def load_csv(path, has_header: bool = True, label_column: str | None = None,
+             name: str | None = None) -> Dataset:
+    """Load a rectangular numeric CSV, optionally splitting off a {0,1}
+    label column selected by header name or by "last". The body goes
+    through np.loadtxt (_read_loadtxt); whatever it cannot take is read
+    again through the csv module (_read_rows), which names the first ragged
+    row or bad cell."""
+    read = _read_loadtxt(path, has_header)
+    header, data = read if read is not None else _read_rows(path, has_header)
     width = data.shape[1]
 
     label_idx: int | None = None
@@ -208,13 +247,18 @@ def csv_text(header, rows) -> str:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as CSV through `csv_text`, rows from X.tolist();
-    labels, when present, go to a final column named "label"."""
+    """Write a dataset as CSV, rows from X.tolist(); labels, when present, go
+    to a final column named "label". Each row is its cells' reprs joined by
+    commas, the bytes csv_text would write for the same header and rows.
+    Rows go out _WRITE_ROWS at a time, so no copy of the whole file is held."""
     header = [f"f{j}" for j in range(dataset.d)]
-    rows = dataset.X.tolist()
     if dataset.labels is not None:
         header.append("label")
-        rows = [row + [int(label)] for row, label in zip(rows, dataset.labels)]
-    text = csv_text(header, rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\n")
+        for s in range(0, dataset.n, _WRITE_ROWS):
+            rows = dataset.X[s : s + _WRITE_ROWS].tolist()
+            if dataset.labels is not None:
+                labels = dataset.labels[s : s + _WRITE_ROWS]
+                rows = [row + [int(label)] for row, label in zip(rows, labels)]
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))

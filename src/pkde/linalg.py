@@ -34,9 +34,9 @@ _SYMMETRY_TOL = 1e-10
 # Guards every read and read-set-restore of the process-wide BLAS thread count.
 _PIN_LOCK = threading.RLock()
 
-# The buffers of one row_blocks loop hold at most this many float64s (32 MB)
+# The buffers of one row_blocks loop hold at most this many float64s (8 MB)
 # between them.
-_BLOCK_FLOATS = 4_000_000
+_BLOCK_FLOATS = 1_000_000
 
 # What a block returns in place of its result when another block has raised.
 _SKIPPED = object()

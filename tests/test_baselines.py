@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkde import linalg
 from pkde.baselines import (
@@ -10,7 +12,7 @@ from pkde.baselines import (
     lof_score,
     mahalanobis_score,
 )
-from pkde.errors import DegenerateDuplicatesError, InvalidInputError
+from pkde.errors import DataError, DegenerateDuplicatesError, InvalidInputError
 
 
 def brute_neighbors(X, k):
@@ -39,6 +41,32 @@ def dense_neighbors(X, k):
     np.fill_diagonal(dist, np.inf)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     return order, np.take_along_axis(dist, order, axis=1)
+
+
+def difference_form_neighbors(X, k):
+    """Dense oracle for knn_table: every distance in difference form,
+    sqrt(sum_l (x_il - x_jl)^2) summed over l in order, and each row sorted
+    by a stable argsort, so ties go to the lower index."""
+    X = np.asarray(X, dtype=float)
+    d2 = np.zeros((X.shape[0], X.shape[0]))
+    for col in X.T:
+        diff = col[:, None] - col[None, :]
+        d2 += diff * diff
+    dist = np.sqrt(d2)
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def oracle_case(kind, n, d, rng):
+    if kind == "gaussian":
+        return rng.standard_normal((n, d))
+    if kind == "grid":  # integer coordinates: a shell of true ties per row
+        return rng.integers(0, 4, size=(n, d)).astype(float)
+    if kind == "offset":  # clusters far from the origin, tight around it
+        return 1e3 + 1e-3 * rng.standard_normal((n, d)) + rng.integers(0, 3, size=(n, 1))
+    rows = rng.standard_normal((max(1, n // 8), d))  # heavy duplicates
+    return rows[rng.integers(0, rows.shape[0], size=n)]
 
 
 class TestKnnTable:
@@ -80,14 +108,20 @@ class TestKnnTable:
                     np.linalg.norm(X[i] - X[j]) - table.distances[i, col]
                 ) <= 1e-12
 
+    def test_overflowing_distances_rejected(self):
+        # detect rescales first; called directly at 1e200 the squares overflow.
+        X = np.random.default_rng(55).standard_normal((50, 3))
+        with pytest.raises(DataError):
+            knn_table(X * 1e200, 3)
+
     @pytest.mark.parametrize("k", [0, 10])
     def test_k_out_of_range(self, k):
         with pytest.raises(InvalidInputError):
             knn_table(np.zeros((10, 2)) + np.arange(10)[:, None], k)
 
     def test_two_blocks_match_dense_reference(self, monkeypatch):
-        # One worker takes 4_000_000 // 2100 = 1904 rows per block, two take
-        # 952 each: the table must not depend on where the block edges fall.
+        # One worker takes 1_000_000 // 2100 = 476 rows per block, two take
+        # 238 each: the table must not depend on where the block edges fall.
         rng = np.random.default_rng(50)
         X = rng.standard_normal((2100, 5))
         tables = []
@@ -120,6 +154,40 @@ class TestKnnTable:
         exact = np.sqrt(np.take_along_axis(d2, idx, axis=1))
         assert np.array_equal(table.distances, exact)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["gaussian", "grid", "offset", "duplicates"]),
+        st.integers(min_value=2, max_value=260),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    def test_matches_difference_form_oracle(self, kind, n, d, data):
+        k = data.draw(st.integers(min_value=1, max_value=min(n - 1, 12)), label="k")
+        X = oracle_case(kind, n, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        rows = data.draw(st.integers(min_value=1, max_value=n), label="block rows")
+        workers = data.draw(st.sampled_from([1, 2]), label="workers")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_BLOCK_FLOATS", workers * rows * n)
+            mp.setattr(linalg, "_worker_count", lambda: workers)
+            table = knn_table(X, k)
+        idx, dist = difference_form_neighbors(X, k)
+        assert np.array_equal(table.indices, idx)
+        assert np.array_equal(table.distances, dist)
+
+    def test_same_table_at_any_block_height(self, monkeypatch):
+        # Block heights of 1 (a GEMV), 7, 13, 333 and 2099 rows: the GEMM
+        # rounds each differently, and the table must not show it.
+        rng = np.random.default_rng(53)
+        X = rng.standard_normal((2100, 5))
+        idx, dist = difference_form_neighbors(X, 10)
+        for rows in (1, 7, 13, 333, 2099):
+            for workers in (1, 2):
+                monkeypatch.setattr(linalg, "_BLOCK_FLOATS", workers * rows * 2100)
+                monkeypatch.setattr(linalg, "_worker_count", lambda w=workers: w)
+                table = knn_table(X, 10)
+                assert np.array_equal(table.indices, idx)
+                assert np.array_equal(table.distances, dist)
+
     def test_peak_memory_below_half_dense_matrix(self):
         rng = np.random.default_rng(52)
         X = rng.standard_normal((3000, 4))
@@ -130,6 +198,20 @@ class TestKnnTable:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 3000**2 / 2
+        # The block buffers hold 1_000_000 floats (8 MB); each block adds a
+        # mask and a sample an eighth of its size, and the table is 0.5 MB.
+        assert peak < 1.5 * 8 * 1_000_000
+
+
+class TestTranslation:
+    def test_scores_at_offset_1e7(self):
+        # Far from the origin ‖a‖² + ‖b‖² - 2a·b cancels; the difference
+        # form loses only the rounding of the shifted input, about 1e-9.
+        rng = np.random.default_rng(54)
+        X = rng.standard_normal((500, 8))
+        for score in (knn_dist_score, lof_score):
+            base, moved = score(X, 10), score(X + 1e7, 10)
+            assert np.all(np.abs(moved - base) <= 1e-8 * np.abs(base))
 
 
 class TestKnnDistScore:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateDuplicatesError, InvalidInputError
-from .linalg import as_matrix, row_blocks
+from .linalg import as_matrix, lift, row_blocks
 from .pca import fit_pca, project
 
 # Condition-number bound past which the Mahalanobis covariance is ridged.
@@ -61,14 +61,10 @@ def knn_table(X, k: int) -> NeighborTable:
     n, d = A.shape
     if not 1 <= k <= n - 1:
         raise InvalidInputError(f"k={k} out of range [1, {n - 1}]")
-    lifted = np.empty((n, d + 2))
-    C = np.subtract(A, A.mean(axis=0), out=lifted[:, :d])
-    sq = np.einsum("ij,ij->i", C, C)
+    lifted, swap = lift(A - A.mean(axis=0))  # lifted[i, swap] @ lifted[j] = -d²/2
+    sq = -2.0 * lifted[:, d + 1]  # ‖c‖²
     if not np.isfinite(4.0 * sq.max()):  # 4 max‖c‖² bounds every d² below
         raise DataError("squared distances overflow float64; rescale the data")
-    lifted[:, d] = 1.0
-    lifted[:, d + 1] = -0.5 * sq
-    swap = np.r_[:d, d + 1, d]  # lifted[i, swap] @ lifted[j] = -d²/2
     # slack is 2M. M = 4(d + 2)uN bounds |estimate + D²/2|, D the exact
     # distance below, with u the unit roundoff and N = ‖c_i‖² + max_j ‖c_j‖²,
     # so that d²/2 <= N: the GEMM over d + 2 terms with the rounded lifted

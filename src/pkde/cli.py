@@ -19,6 +19,7 @@ from .datasets import (
 )
 from .detector import DETECTOR_IDS, DetectorConfig, detect
 from .errors import DataError, InvalidInputError, NumericalError
+from .kde import BANDWIDTH_RULES
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,8 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_detector_opts(p):
         p.add_argument("--variance-threshold", type=float, default=0.90)
         p.add_argument("--fixed-dim", type=int, default=None)
-        p.add_argument("--bandwidth-rule", choices=("scott", "scott-squared"),
-                       default="scott")
+        p.add_argument("--bandwidth-rule", choices=BANDWIDTH_RULES, default="scott")
         p.add_argument("-k", "--neighbors", type=int, default=10,
                        help="k for the kNN-distance and LOF baselines")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
-from .kde import fit_kde, log_density_loo_top_k, scott_bandwidth
+from .kde import BANDWIDTH_RULES, fit_kde, log_density_loo_top_k, scott_bandwidth
 from .linalg import _one_blas_thread, as_matrix, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
@@ -45,9 +45,9 @@ class DetectorConfig:
             )
         if self.fixed_dim is not None and self.fixed_dim < 1:
             raise InvalidInputError(f"fixed_dim must be >= 1, got {self.fixed_dim}")
-        if self.bandwidth_rule not in ("scott", "scott-squared"):
+        if self.bandwidth_rule not in BANDWIDTH_RULES:
             raise InvalidInputError(
-                f"bandwidth_rule must be 'scott' or 'scott-squared', "
+                f"bandwidth_rule must be {' or '.join(map(repr, BANDWIDTH_RULES))}, "
                 f"got {self.bandwidth_rule!r}"
             )
         if self.neighbors < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBandwidthError
-from .linalg import as_matrix, as_vector, row_blocks
+from .linalg import as_matrix, as_vector, lift, row_blocks
 
 # Below this Cholesky pivot, relative to trace(H), the bandwidth is singular.
 _SINGULAR_REL = 1e-12
@@ -26,6 +26,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # precision below about 2.2e-308, and n such terms stay negligible against
 # 1e-280 for any n a dense sum can reach.
 _UNDERFLOW_SUM = 1e-280
+
+# The rules scott_bandwidth takes.
+BANDWIDTH_RULES = ("scott", "scott-squared")
 
 # log_density_loo_top_k bounds each row by its kernel sum over leaves of at
 # most this many rows: its own and the one on each side.
@@ -81,7 +84,7 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
         raise InvalidInputError(f"covariance must be square, got {A.shape}")
     if n < 2:
         raise InvalidInputError(f"bandwidth needs n >= 2 samples, got {n}")
-    if rule not in ("scott", "scott-squared"):
+    if rule not in BANDWIDTH_RULES:
         raise InvalidInputError(f"unknown bandwidth rule {rule!r}")
     d = A.shape[0]
     factor = float(n) ** (-1.0 / (d + 4))
@@ -133,94 +136,83 @@ class _Whitened:
     """The samples of a KDE model, whitened once: z = Wᵀ(x - mean) with
     W Wᵀ = H_inv, which makes every kernel isotropic.
 
-    B holds the samples lifted to [z, 1, -‖z‖²/2], and B[:, swap] the same
-    rows as [z, -‖z‖²/2, 1], so B[i, swap] @ B[j] = -‖z_i - z_j‖²/2.
+    B holds the samples lifted to [z, 1, -‖z‖²/2] (linalg.lift), so
+    B[i, swap] @ B[j] = -‖z_i - z_j‖²/2.
     """
 
     def __init__(self, model: KdeModel):
-        m = model.d
         self.model = model
         self.shift = model.samples.mean(axis=0)
         # detect holds OpenBLAS to one thread around this too: a threaded call
         # would wake OpenBLAS threads that spin on the cores the workers need.
         self.W = np.linalg.cholesky(model.bandwidth.H_inv)
-        self.B = self.lift(model.samples, m + 1)
-        self.swap = np.r_[:m, m + 1, m]
+        self.B, self.swap = lift(self.whiten(model.samples))
 
-    def lift(self, X: np.ndarray, h: int) -> np.ndarray:
-        """Whitened rows of X with -‖z‖²/2 in column h and 1 in the other
-        extra one."""
-        m = self.model.d
-        out = np.empty((X.shape[0], m + 2))
-        np.matmul(X - self.shift, self.W, out=out[:, :m])
-        out[:, m:] = 1.0
-        out[:, h] = -0.5 * np.einsum("ij,ij->i", out[:, :m], out[:, :m])
-        return out
+    def whiten(self, X: np.ndarray) -> np.ndarray:
+        return (X - self.shift) @ self.W
 
 
 def _products(rows: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
-    """out = rows @ B.T, each entry rounded the same whatever the number of
-    rows: numpy sends a one-row product to gemv, which rounds differently
-    from gemm, so a lone row goes in twice."""
+    """out = rows @ B.T. numpy sends a one-row product to gemv, which rounds
+    differently from gemm, so a lone row goes in twice. gemm itself still
+    rounds rows at its tile edges differently, so an entry can move in the
+    last bit with the number of rows in the product."""
     if rows.shape[0] == 1:
         out[:] = np.matmul(np.vstack([rows, rows]), B.T)[:1]
     else:
         np.matmul(rows, B.T, out=out)
 
 
-def _log_kernel_sum(
-    wh: _Whitened, Q: np.ndarray | None, rows=None, base=None, cols=None
-) -> np.ndarray:
+def _kernels(L: np.ndarray, C: np.ndarray, buf: np.ndarray, own=None) -> np.ndarray:
+    """exp(L @ C.T) in the front of buf: the kernel terms of the lifted rows
+    L (in swap order) against the lifted samples C, with row i's self term,
+    column own[i], set to 0."""
+    k = buf[: L.shape[0] * C.shape[0]].reshape(L.shape[0], C.shape[0])
+    _products(L, C, k)
+    np.exp(k, out=k)
+    if own is not None:
+        k[np.arange(L.shape[0]), own] = 0.0
+    return k
+
+
+def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarray:
     """log of the average kernel over the samples at each row of Q.
 
     Q=None scores sample rows instead, with the self term left out, so the
-    average runs over the other n-1:
-    - rows=None scores all n samples in one symmetric pass;
-    - `rows` (sample indices) alone scores those rows, each summed over all
-      n samples in one piece, so its sum depends neither on the block height
-      nor on which other rows are scored; cols[j], if cols is given, gains
-      sample j's sum over `rows`;
-    - `rows` with `base` scores those rows in one symmetric pass among
-      themselves, plus base[i], row i's sum over the samples outside `rows`.
+    average runs over the other n-1: all n samples in one symmetric pass, or
+    with `rows` (sample indices) only those rows, each summed over all n
+    samples like a query row.
 
     Points are whitened (_Whitened); centering first keeps the expansion
     below from cancelling badly far from the origin. The norms ride in the
     GEMM: samples are lifted to [z, 1, -‖z‖²/2] and query rows to
     [z, -‖z‖²/2, 1], so one product gives -‖z_q - z_i‖²/2.
     Rows go in linalg.row_blocks blocks, each exponentiated in place in its
-    worker's buffer and summed unshifted. A symmetric pass over u rows pairs
-    block [s, e) only with columns [s, u): its row sums go to rows [s, e),
-    and its column sums past the block go to rows [e, u), which covers each
-    pair once. Both are added in block order, so the result does not depend
-    on which worker ran which block. A row sum below _UNDERFLOW_SUM (or NaN)
-    may have lost terms to underflow; such rows are summed again exactly over
+    worker's buffer and summed unshifted. The symmetric pass pairs block
+    [s, e) only with columns [s, n): its row sums go to rows [s, e), and its
+    column sums past the block go to rows [e, n), which covers each pair
+    once. Both are added in block order, so a run repeats bit for bit
+    whichever worker ran which block; the block height moves a sum only in
+    the last bits (_products). A row sum below _UNDERFLOW_SUM (or NaN) may
+    have lost terms to underflow; such rows are summed again exactly over
     all n samples, shifted by their largest term.
     """
     model, B, swap = wh.model, wh.B, wh.swap
     n, m = model.n, model.d
-    idx = np.arange(n) if rows is None else np.asarray(rows)  # with Q=None
-    whole = rows is not None and base is None
-    symmetric = Q is None and not whole
-    S = B[idx] if symmetric and rows is not None else B  # the columns met
+    idx = np.arange(n) if rows is None else rows  # with Q=None
+    symmetric = Q is None and rows is None
 
     def lifted(i):
-        return wh.lift(Q[i], m) if Q is not None else B[idx[i]][:, swap]
+        if Q is not None:
+            return lift(wh.whiten(Q[i]))[0][:, swap]
+        return B[idx[i]][:, swap]
 
     def block_sums(s, e, buf):
         if symmetric:
-            u = S.shape[0]
-            k = buf[: (e - s) * (u - s)].reshape(e - s, u - s)
-            _products(S[s:e][:, swap], S[s:], k)
-            np.exp(k, out=k)
-            np.fill_diagonal(k, 0.0)
+            k = _kernels(B[s:e][:, swap], B[s:], buf, np.arange(e - s))
             return k.sum(axis=1), k[:, e - s :].sum(axis=0)
-        k = buf[: (e - s) * n].reshape(e - s, n)
-        _products(lifted(slice(s, e)), B, k)
-        np.exp(k, out=k)
-        if Q is not None:
-            return k.sum(axis=1), None
-        k[np.arange(e - s), idx[s:e]] = 0.0
-        return k.sum(axis=1), None if cols is None else k.sum(axis=0)
+        k = _kernels(lifted(slice(s, e)), B, buf, None if Q is not None else idx[s:e])
+        return k.sum(axis=1), None
 
     def shifted_sums(s, e, buf):
         i = redo[s:e]
@@ -235,15 +227,11 @@ def _log_kernel_sum(
         return peak + np.log(k.sum(axis=1))
 
     nq = idx.size if Q is None else Q.shape[0]
-    sums = np.zeros(nq) if base is None else np.array(base, dtype=np.float64)
-    for s, e, (row, col) in row_blocks(nq, S.shape[0], block_sums):
+    sums = np.zeros(nq)
+    for s, e, (row, col) in row_blocks(nq, n, block_sums):
         sums[s:e] += row
-        if col is None:
-            continue
-        if symmetric:
+        if col is not None:
             sums[e:] += col
-        else:
-            cols += col
 
     redo = np.flatnonzero(~(sums >= _UNDERFLOW_SUM))
     sums[redo] = 1.0
@@ -329,8 +317,8 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
     The bound of a row is its self-masked kernel sum over its own leaf and
     the neighbouring leaf on each side (_leaf_order, on the whitened rows):
     every kernel term is positive, so a partial sum is a lower bound. Rows
-    go in row_blocks blocks of whole leaves, and a row's sum runs over its
-    window in one piece, so it depends on neither the block height nor the
+    go in row_blocks blocks of whole leaves, and each leaf is one product
+    with its window, so a bound depends on neither the block height nor the
     worker count. A sum below _UNDERFLOW_SUM counts as 0.
     """
     model = wh.model
@@ -348,10 +336,7 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
         for j in range(s, e):
             a, b = starts[j] - lo[j], starts[j + 1] - lo[j]  # the leaf in its window
             window = wh.B[order[lo[j] : hi[j]]]
-            k = buf[: (b - a) * window.shape[0]].reshape(b - a, window.shape[0])
-            _products(window[a:b][:, wh.swap], window, k)
-            np.exp(k, out=k)
-            k[np.arange(b - a), np.arange(a, b)] = 0.0
+            k = _kernels(window[a:b][:, wh.swap], window, buf, np.arange(a, b))
             out.append(k.sum(axis=1))
         return np.concatenate(out)
 
@@ -380,11 +365,9 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
     offset - value, the scores the caller makes; so offset - bound is at
     least the row's exact score and strictly below the k-th highest score.
 
-    Everything is exact, through the symmetric full sum, when k > n/4, when
+    Everything is exact, and equal to log_density_loo, when k > n/4, when
     the bounds would cost as much as the full sum, or when round 2 would make
-    more than n/4 rows exact. In the last case round 1's rows are done, and
-    their sums over every other row are kept, so the symmetric pass runs
-    only among the rest.
+    more than n/4 rows exact; then the symmetric full sum is returned.
     """
     n = model.n
     if not 1 <= k <= n:
@@ -396,15 +379,12 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
     exact = np.zeros(n, dtype=bool)
     first = np.argsort(out, kind="stable")[:k]
     exact[first] = True
-    cols = np.zeros(n)
-    out[first] = _log_kernel_sum(wh, None, rows=first, cols=cols)
+    out[first] = _log_kernel_sum(wh, None, rows=first)
     t = float(out[first].max())
     t += 1e-12 * max(1.0, abs(t), abs(offset))
     second = np.flatnonzero((out <= t) & ~exact)
     if 4 * (k + second.size) > n:
-        rest = np.flatnonzero(~exact)
-        out[rest] = _log_kernel_sum(wh, None, rows=rest, base=cols[rest])
-        return out, np.ones(n, dtype=bool)
+        return _log_kernel_sum(wh, None), np.ones(n, dtype=bool)
     out[second] = _log_kernel_sum(wh, None, rows=second)
     exact[second] = True
     return out, exact

@@ -1,6 +1,7 @@
 """Dense linear algebra for the detector: centering, covariance, a LAPACK
 eigensolver for symmetric matrices, the exact power-of-two rescale of every
-detect input, and the row-block scheduler of the kernel sum and neighbour table.
+detect input, and the row lift and row-block scheduler of the kernel sum and
+neighbour table.
 
 Matrices are plain float64 numpy arrays in row-major order; the validators
 below reject anything non-rectangular or non-finite. All functions are pure.
@@ -154,6 +155,18 @@ def row_blocks(n_rows: int, row_floats: int, work):
                     yield take(*ahead.popleft())
             while ahead:
                 yield take(*ahead.popleft())
+
+
+def lift(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, swap): the rows of C lifted to [c, 1, -‖c‖²/2], and the column
+    order that turns them into [c, -‖c‖²/2, 1], so that
+    L[i, swap] @ L[j] = -‖c_i - c_j‖²/2 and one GEMM gives every pair."""
+    n, d = C.shape
+    L = np.empty((n, d + 2))
+    L[:, :d] = C
+    L[:, d] = 1.0
+    L[:, d + 1] = -0.5 * np.einsum("ij,ij->i", L[:, :d], L[:, :d])
+    return L, np.r_[:d, d + 1, d]
 
 
 def pow2_scale(A: np.ndarray) -> tuple[np.ndarray, int]:

@@ -107,7 +107,9 @@ def sweep(
     if dataset.labels is None:
         raise InvalidInputError("sweep needs a labeled dataset")
     grid = list(contamination_grid)
-    if not grid or any(not 0.0 < c <= 0.5 for c in grid):
+    if not grid:
+        raise InvalidInputError("the contamination grid is empty")
+    if any(not 0.0 < c <= 0.5 for c in grid):
         raise InvalidInputError("contamination grid values must be in (0, 0.5]")
     if repeats < 1:
         raise InvalidInputError("repeats must be >= 1")

@@ -317,6 +317,13 @@ class TestSweep:
         assert rc == 1
         assert "detector list is empty" in capsys.readouterr().err
 
+    def test_empty_grid_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        rc = run(["sweep", "-i", str(data), "--label-column", "label", "--grid", ","])
+        assert rc == 1
+        assert "contamination grid is empty" in capsys.readouterr().err
+
     def test_unlabeled_is_usage_error(self, tmp_path):
         data = tmp_path / "plain.csv"
         data.write_text("a,b\n1,2\n3,4\n5,6\n")

@@ -267,18 +267,23 @@ class TestDetect:
             assert np.array_equal(result.labels, ds.labels[perm]), name
 
     def test_pkde_one_and_two_workers_agree(self, monkeypatch):
-        # n = 3500 splits the kernel sum into 4 blocks on one worker and 7
-        # on two; block edges move the last bits of a score, not the labels.
+        # n = 3500 splits the kernel sum into 4 blocks on one worker, 7 on
+        # two and 250 under a 50 000-float budget. GEMM rounds rows at its
+        # tile edges differently, so block edges move the last bits of a
+        # score, but not the labels.
         ds = planted(n_normal=3325, n_outlier=175, dim=3)
         cfg = DetectorConfig(contamination=0.05)
         runs = []
-        for workers in (1, 2):
+        default = linalg._BLOCK_FLOATS
+        for workers, budget in ((1, default), (2, default), (1, 50_000)):
             monkeypatch.setattr(linalg, "_worker_count", lambda w=workers: w)
+            monkeypatch.setattr(linalg, "_BLOCK_FLOATS", budget)
             first, second = detect("pkde", ds.X, cfg), detect("pkde", ds.X, cfg)
             assert np.array_equal(first.scores, second.scores)
             runs.append(first)
-        assert np.array_equal(runs[0].labels, runs[1].labels)
-        np.testing.assert_allclose(runs[1].scores, runs[0].scores, rtol=1e-13, atol=0)
+        for run in runs[1:]:
+            assert np.array_equal(run.labels, runs[0].labels)
+            np.testing.assert_allclose(run.scores, runs[0].scores, rtol=1e-13, atol=0)
 
     def test_all_detectors_label_k_points(self):
         ds = planted(seed=2)

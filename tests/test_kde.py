@@ -405,23 +405,22 @@ class TestLogDensityLooTopK:
             assert np.array_equal(top_k_select(-out, k), top_k_select(-every, k)), k
             assert np.array_equal(out[exact], every[exact])
 
-    def test_fallback_reuses_round_one(self, monkeypatch):
-        # Unplanted data: more than n/4 rows fail their bound, and the
-        # symmetric pass runs only among the rows round 1 left.
+    def test_round_two_overflow_is_full_sum(self, monkeypatch):
+        # Unplanted data: after round 1 more than n/4 rows fail their bound,
+        # and the symmetric full sum replaces every score.
         calls = []
         real = kde._log_kernel_sum
 
-        def spy(wh, Q, rows=None, base=None, cols=None):
-            calls.append((None if rows is None else len(rows), base is not None))
-            return real(wh, Q, rows=rows, base=base, cols=cols)
+        def spy(wh, Q, rows=None):
+            calls.append(None if rows is None else len(rows))
+            return real(wh, Q, rows=rows)
 
         monkeypatch.setattr(kde, "_log_kernel_sum", spy)
         model = scott_model(gen_synthetic(SynthSpec("gaussian", 2400, 0, 4, seed=3)).X)
         out, exact = log_density_loo_top_k(model, 120)
-        assert calls == [(120, False), (2280, True)]
+        assert calls == [120, None]
         assert exact.all()
-        oracle = real(kde._Whitened(model), None)
-        np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=0)
+        assert np.array_equal(out, log_density_loo(model))
 
     @pytest.mark.parametrize("n, k", [(100, 30), (600, 30)])
     def test_full_sum_without_bounds(self, n, k):

@@ -104,6 +104,10 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             sweep(["nope"], planted_dataset, [0.1])
 
+    def test_empty_grid_rejected(self, planted_dataset):
+        with pytest.raises(InvalidInputError, match="contamination grid is empty"):
+            sweep(["pkde"], planted_dataset, [])
+
     def test_empty_detector_list_rejected(self, planted_dataset):
         with pytest.raises(InvalidInputError, match="detector list is empty"):
             sweep([], planted_dataset, [0.05])

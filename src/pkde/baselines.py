@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateDuplicatesError, InvalidInputError
-from .linalg import as_matrix, lift, row_blocks
+from .linalg import as_matrix, budget_rows, lift, row_blocks
 from .pca import fit_pca, project
 
 # Condition-number bound past which the Mahalanobis covariance is ridged.
@@ -114,7 +114,8 @@ def knn_table(X, k: int) -> NeighborTable:
 
     indices = np.empty((n, k), dtype=np.intp)
     distances = np.empty((n, k))
-    for s, e, (idx, dist) in row_blocks(n, n, block):
+    rows = min(n, budget_rows(n))
+    for s, e, (idx, dist) in row_blocks(n, rows, rows * n, block):
         indices[s:e] = idx
         distances[s:e] = dist
     return NeighborTable(k=k, indices=indices, distances=distances)

@@ -31,8 +31,17 @@ _UNDERFLOW_SUM = 1e-280
 BANDWIDTH_RULES = ("scott", "scott-squared")
 
 # log_density_loo_top_k bounds each row by its kernel sum over leaves of at
-# most this many rows: its own and the one on each side.
+# most this many rows: its own and the one on each side. Its workers take
+# blocks of _LEAF_BLOCK leaves: one leaf a block spends about a fifth of the
+# bound pass handing blocks between threads.
 _LEAF_ROWS = 256
+_LEAF_BLOCK = 8
+
+# _log_kernel_sum works in tiles of at most this many rows by this many
+# columns, 1 MB of float64s per worker: each product is exponentiated and
+# summed while it is still in cache, and the GEMM keeps its speed at any n.
+_TILE_ROWS = 128
+_TILE_COLS = 1024
 
 
 @dataclass(frozen=True)
@@ -166,12 +175,13 @@ def _products(rows: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
 def _kernels(L: np.ndarray, C: np.ndarray, buf: np.ndarray, own=None) -> np.ndarray:
     """exp(L @ C.T) in the front of buf: the kernel terms of the lifted rows
     L (in swap order) against the lifted samples C, with row i's self term,
-    column own[i], set to 0."""
+    column own[i] of C, set to 0 where C has that column."""
     k = buf[: L.shape[0] * C.shape[0]].reshape(L.shape[0], C.shape[0])
     _products(L, C, k)
     np.exp(k, out=k)
     if own is not None:
-        k[np.arange(L.shape[0]), own] = 0.0
+        i = np.flatnonzero((own >= 0) & (own < C.shape[0]))
+        k[i, own[i]] = 0.0
     return k
 
 
@@ -187,15 +197,19 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
     below from cancelling badly far from the origin. The norms ride in the
     GEMM: samples are lifted to [z, 1, -‖z‖²/2] and query rows to
     [z, -‖z‖²/2, 1], so one product gives -‖z_q - z_i‖²/2.
-    Rows go in linalg.row_blocks blocks, each exponentiated in place in its
-    worker's buffer and summed unshifted. The symmetric pass pairs block
-    [s, e) only with columns [s, n): its row sums go to rows [s, e), and its
-    column sums past the block go to rows [e, n), which covers each pair
-    once. Both are added in block order, so a run repeats bit for bit
-    whichever worker ran which block; the block height moves a sum only in
-    the last bits (_products). A row sum below _UNDERFLOW_SUM (or NaN) may
-    have lost terms to underflow; such rows are summed again exactly over
-    all n samples, shifted by their largest term.
+    Rows go in linalg.row_blocks blocks of _TILE_ROWS, and each block walks
+    its columns in tiles of _TILE_COLS, exponentiated in place in its
+    worker's buffer and summed unshifted; a row's tile sums are added in
+    column order. The symmetric pass pairs block [s, e) only with columns
+    [s, n), with the self term masked where the diagonal crosses a tile:
+    its row sums go to rows [s, e), and its column sums past the block go
+    to rows [e, n), which covers each pair once. Those are added in block
+    order, so a run repeats bit for bit whichever worker ran which block,
+    at any worker count; the tile shape moves a sum only in the last bits
+    (_products). A row sum below _UNDERFLOW_SUM (or NaN) may have lost
+    terms to underflow; such rows are summed again exactly over all n
+    samples, shifted by their largest term, in blocks of whole rows that
+    hold no more than a tile.
     """
     model, B, swap = wh.model, wh.B, wh.swap
     n, m = model.n, model.d
@@ -208,11 +222,17 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
         return B[idx[i]][:, swap]
 
     def block_sums(s, e, buf):
-        if symmetric:
-            k = _kernels(B[s:e][:, swap], B[s:], buf, np.arange(e - s))
-            return k.sum(axis=1), k[:, e - s :].sum(axis=0)
-        k = _kernels(lifted(slice(s, e)), B, buf, None if Q is not None else idx[s:e])
-        return k.sum(axis=1), None
+        L, own = lifted(slice(s, e)), None if Q is not None else idx[s:e]
+        row = np.zeros(e - s)
+        col = np.empty(n - e) if symmetric else None
+        for c in range(s if symmetric else 0, n, _TILE_COLS):
+            d = min(c + _TILE_COLS, n)
+            k = _kernels(L, B[c:d], buf, None if own is None else own - c)
+            row += k.sum(axis=1)
+            if symmetric and d > e:
+                f = max(c, e)  # the first column past the block
+                col[f - e : d - e] = k[:, f - c :].sum(axis=0)
+        return row, col
 
     def shifted_sums(s, e, buf):
         i = redo[s:e]
@@ -228,7 +248,8 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
 
     nq = idx.size if Q is None else Q.shape[0]
     sums = np.zeros(nq)
-    for s, e, (row, col) in row_blocks(nq, n, block_sums):
+    tile = min(nq, _TILE_ROWS) * min(n, _TILE_COLS)
+    for s, e, (row, col) in row_blocks(nq, _TILE_ROWS, tile, block_sums):
         sums[s:e] += row
         if col is not None:
             sums[e:] += col
@@ -236,7 +257,8 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
     redo = np.flatnonzero(~(sums >= _UNDERFLOW_SUM))
     sums[redo] = 1.0
     out = np.log(sums, out=sums)
-    for s, e, exact in row_blocks(redo.size, n, shifted_sums):
+    whole = max(1, _TILE_ROWS * _TILE_COLS // n)
+    for s, e, exact in row_blocks(redo.size, whole, min(whole, redo.size) * n, shifted_sums):
         out[redo[s:e]] = exact
     count = n - 1 if Q is None else n
     return out + (_log_kernel_const(model.bandwidth, m) - np.log(count))
@@ -316,10 +338,11 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
 
     The bound of a row is its self-masked kernel sum over its own leaf and
     the neighbouring leaf on each side (_leaf_order, on the whitened rows):
-    every kernel term is positive, so a partial sum is a lower bound. Rows
-    go in row_blocks blocks of whole leaves, and each leaf is one product
-    with its window, so a bound depends on neither the block height nor the
-    worker count. A sum below _UNDERFLOW_SUM counts as 0.
+    every kernel term is positive, so a partial sum is a lower bound. Leaves
+    go in row_blocks blocks of _LEAF_BLOCK, and each leaf is one product
+    with its window, in a buffer that holds one window, so a bound depends
+    on neither the block height, the worker count nor the tile shape. A sum
+    below _UNDERFLOW_SUM counts as 0.
     """
     model = wh.model
     n, m = model.n, model.d
@@ -341,7 +364,8 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
         return np.concatenate(out)
 
     sums = np.empty(n)
-    for s, e, block in row_blocks(leaves.size, int(np.max(sizes * (hi - lo))), leaf_sums):
+    window = int(np.max(sizes * (hi - lo)))
+    for s, e, block in row_blocks(leaves.size, _LEAF_BLOCK, window, leaf_sums):
         sums[order[starts[s] : starts[e]]] = block
     sums[~(sums >= _UNDERFLOW_SUM)] = 0.0
     with np.errstate(divide="ignore"):

@@ -35,8 +35,8 @@ _SYMMETRY_TOL = 1e-10
 # Guards every read and read-set-restore of the process-wide BLAS thread count.
 _PIN_LOCK = threading.RLock()
 
-# The buffers of one row_blocks loop hold at most this many float64s (8 MB)
-# between them.
+# The buffers of one loop of budget_rows blocks hold at most this many
+# float64s (8 MB) between them.
 _BLOCK_FLOATS = 1_000_000
 
 # What a block returns in place of its result when another block has raised.
@@ -96,28 +96,34 @@ def _worker_count() -> int:
     return 1 if calls is None else max(1, calls[2])
 
 
-def row_blocks(n_rows: int, row_floats: int, work):
-    """Yield (s, e, work(s, e, buf)) for the row blocks [s, e) of range(n_rows),
-    in block order.
+def budget_rows(row_floats: int) -> int:
+    """Rows of row_floats float64s per block such that the buffers of all
+    _worker_count() workers together stay within _BLOCK_FLOATS (at least
+    one row)."""
+    return max(1, _BLOCK_FLOATS // (_worker_count() * row_floats))
 
-    The workers are _worker_count() threads, and OpenBLAS is held to one
-    thread for the whole loop, so the threads run whole blocks side by side
-    instead of splitting each BLAS call. A block holds _BLOCK_FLOATS //
-    (workers * row_floats) rows (at least one), so the
-    workers' buffers of that many rows of row_floats float64s together stay
-    within _BLOCK_FLOATS. buf is the block's own until work returns, and the
-    result must not refer to it. Each block runs in a copy of the caller's
-    contextvars context, which carries np.errstate. At most `workers` blocks
-    run ahead of the consumer. A lone block or a lone worker runs inline on
-    the calling thread. Once a block raises, no block that has not started
-    runs, and the error propagates from here after the running blocks end.
+
+def row_blocks(n_rows: int, rows: int, buf_floats: int, work):
+    """Yield (s, e, work(s, e, buf)) for the blocks [s, e) of `rows` rows of
+    range(n_rows) (the last one may be shorter), in block order.
+
+    The caller sets the block height and the size of buf, the buffer of
+    buf_floats float64s that each worker owns. The workers are
+    _worker_count() threads, and OpenBLAS is held to one thread for the
+    whole loop, so the threads run whole blocks side by side instead of
+    splitting each BLAS call. buf is the block's own until work returns,
+    and the result must not refer to it. Each block runs in a copy of the
+    caller's contextvars context, which carries np.errstate. At most
+    `workers` blocks run ahead of the consumer. A lone block or a lone
+    worker runs inline on the calling thread. Once a block raises, no block
+    that has not started runs, and the error propagates from here after the
+    running blocks end.
     """
     workers = _worker_count()
     with _one_blas_thread():
-        rows = max(1, _BLOCK_FLOATS // (workers * row_floats))
         blocks = [(s, min(s + rows, n_rows)) for s in range(0, n_rows, rows)]
         workers = min(workers, len(blocks))
-        bufs = [np.empty(min(rows, n_rows) * row_floats) for _ in range(workers)]
+        bufs = [np.empty(buf_floats) for _ in range(workers)]
         if workers <= 1:
             for s, e in blocks:
                 yield s, e, work(s, e, bufs[0])

@@ -183,19 +183,20 @@ class TestDetect:
         if where == "scorer":
             monkeypatch.setitem(detector._SCORERS, "pkde", exhausted)
         else:
-            # Blocks of 2 rows on two workers; the second block fails in a
+            # Tiles of 2 x 16 on two workers; the second block fails in a
             # worker thread.
             monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
-            monkeypatch.setattr(linalg, "_BLOCK_FLOATS", 4 * 100)
+            monkeypatch.setattr(kde, "_TILE_ROWS", 2)
+            monkeypatch.setattr(kde, "_TILE_COLS", 16)
             row_blocks = kde.row_blocks
 
-            def failing_blocks(n_rows, row_floats, work):
+            def failing_blocks(n_rows, rows, buf_floats, work):
                 def first_block_only(s, e, buf):
                     if s > 0:
                         exhausted()
                     return work(s, e, buf)
 
-                return row_blocks(n_rows, row_floats, first_block_only)
+                return row_blocks(n_rows, rows, buf_floats, first_block_only)
 
             monkeypatch.setattr(kde, "row_blocks", failing_blocks)
         calls = linalg._blas_thread_calls()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pkde import detector, linalg
+from pkde import detector, kde, linalg
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.detector import (
     DETECTOR_IDS,
@@ -267,23 +267,27 @@ class TestDetect:
             assert np.array_equal(result.labels, ds.labels[perm]), name
 
     def test_pkde_one_and_two_workers_agree(self, monkeypatch):
-        # n = 3500 splits the kernel sum into 4 blocks on one worker, 7 on
-        # two and 250 under a 50 000-float budget. GEMM rounds rows at its
-        # tile edges differently, so block edges move the last bits of a
-        # score, but not the labels.
+        # n = 3500 splits each kernel sum into 28 row blocks of 4 column
+        # tiles at the default tile shape, and 250 blocks of 37 tiles at
+        # 14 x 97. The worker count moves no bit. GEMM rounds rows at its
+        # tile edges differently, so the tile shape moves the last bits of
+        # a score, but not the labels.
         ds = planted(n_normal=3325, n_outlier=175, dim=3)
         cfg = DetectorConfig(contamination=0.05)
         runs = []
-        default = linalg._BLOCK_FLOATS
-        for workers, budget in ((1, default), (2, default), (1, 50_000)):
-            monkeypatch.setattr(linalg, "_worker_count", lambda w=workers: w)
-            monkeypatch.setattr(linalg, "_BLOCK_FLOATS", budget)
-            first, second = detect("pkde", ds.X, cfg), detect("pkde", ds.X, cfg)
-            assert np.array_equal(first.scores, second.scores)
-            runs.append(first)
-        for run in runs[1:]:
-            assert np.array_equal(run.labels, runs[0].labels)
-            np.testing.assert_allclose(run.scores, runs[0].scores, rtol=1e-13, atol=0)
+        for tile in ((kde._TILE_ROWS, kde._TILE_COLS), (14, 97)):
+            monkeypatch.setattr(kde, "_TILE_ROWS", tile[0])
+            monkeypatch.setattr(kde, "_TILE_COLS", tile[1])
+            for workers in (1, 2):
+                monkeypatch.setattr(linalg, "_worker_count", lambda w=workers: w)
+                first, second = detect("pkde", ds.X, cfg), detect("pkde", ds.X, cfg)
+                assert np.array_equal(first.scores, second.scores)
+                runs.append(first)
+        for one, two in (runs[:2], runs[2:]):
+            assert np.array_equal(one.scores, two.scores)
+            assert np.array_equal(one.exact, two.exact)
+        assert np.array_equal(runs[2].labels, runs[0].labels)
+        np.testing.assert_allclose(runs[2].scores, runs[0].scores, rtol=1e-13, atol=0)
 
     def test_all_detectors_label_k_points(self):
         ds = planted(seed=2)

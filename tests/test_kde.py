@@ -1,3 +1,6 @@
+# row_blocks imports concurrent.futures on its first pooled loop; importing it
+# here keeps that import out of the traced peaks below.
+import concurrent.futures  # noqa: F401
 import math
 import tracemalloc
 
@@ -301,32 +304,103 @@ class TestLogDensityLoo:
         assert np.allclose(loo, expected, rtol=1e-12, atol=0.0)
         assert loo[-3:].max() < -1e4
 
-    def test_many_blocks_match_row_by_row(self):
-        # Blocks of 1_000_000 // 3500 = 285 rows (142 with two workers):
-        # column sums carry across a dozen or more block boundaries.
+    def test_many_blocks_match_row_by_row(self, monkeypatch):
+        # Tiles of 37 x 201 split n = 3500 into 95 row blocks of up to 18
+        # column tiles: column sums carry across 94 block edges. One worker
+        # or two give the same bits.
+        monkeypatch.setattr(kde, "_TILE_ROWS", 37)
+        monkeypatch.setattr(kde, "_TILE_COLS", 201)
         rng = np.random.default_rng(43)
         n = 3500
         X = rng.standard_normal((n, 3)) @ rng.standard_normal((3, 3))
-        bw = scott_bandwidth(np.cov(X.T), n)
-        loo = log_density_loo(fit_kde(X, bw))
-        expected = shifted_log_density(X, bw, X, skip_self=True)
-        assert np.allclose(loo, expected, rtol=1e-12, atol=0.0)
+        model = fit_kde(X, scott_bandwidth(np.cov(X.T), n))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(linalg, "_worker_count", lambda w=workers: w)
+            runs.append(log_density_loo(model))
+        expected = shifted_log_density(X, model.bandwidth, X, skip_self=True)
+        assert np.allclose(runs[0], expected, rtol=1e-12, atol=0.0)
+        assert np.array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_within_block_budget(self, monkeypatch, workers):
-        # The 6000 x 6000 kernel matrix would take 288 MB; the block buffers
-        # of all workers together hold at most 1_000_000 floats (8 MB), and
-        # the lifted samples and row sums add about 0.5 MB.
+        # The 6000 x 6000 kernel matrix would take 288 MB; each worker's
+        # tile holds _TILE_ROWS x _TILE_COLS floats (1 MB), and
+        # ROW_FLOATS a row cover the lifted samples, their whitening
+        # temporaries, the row sums and the column sums of the blocks in
+        # flight.
         monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
         rng = np.random.default_rng(45)
         model = fit_kde(rng.standard_normal((6000, 3)), make_bandwidth(np.eye(3) * 0.3))
-        tracemalloc.start()
-        try:
-            log_density_loo(model)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * 8 * 1_000_000
+        assert loo_peak(model) < 8 * (workers * TILE_FLOATS + ROW_FLOATS * 6000)
+
+    def test_peak_memory_flat_in_n(self):
+        # Beyond the O(n) vectors, the traced peak does not grow with n: a
+        # buffer that grew with the row length would add 8 * _TILE_ROWS
+        # bytes a row.
+        rng = np.random.default_rng(46)
+        peaks = [loo_peak(fit_kde(rng.standard_normal((n, 3)), make_bandwidth(np.eye(3) * 0.3)))
+                 for n in (6000, 24_000)]
+        assert peaks[1] - peaks[0] < 8 * ROW_FLOATS * (24_000 - 6000)
+
+
+# Bytes of the traced peak of log_density_loo: each worker's tile, and at
+# most ROW_FLOATS float64s a row of O(n) vectors.
+TILE_FLOATS = kde._TILE_ROWS * kde._TILE_COLS
+ROW_FLOATS = 20
+
+
+def loo_peak(model):
+    tracemalloc.start()
+    try:
+        log_density_loo(model)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelSumTiles:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=45),
+        st.sampled_from(["symmetric", "rows", "Q"]),
+        st.one_of(
+            st.sampled_from([(1, 1), (3, 5), (7, 13), (5, 3), (13, 7)]),
+            st.tuples(st.integers(1, 50), st.integers(1, 50)),
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_dense_oracle(self, n, mode, tile, far, data):
+        # Tiles of any shape, 1 x 1 among them, dividing n or not, and
+        # taller than wide, so that a block's diagonal crosses column tile
+        # corners: every mode gives the dense self-masked sum, and one
+        # worker or two give the same bits. A far row underflows every
+        # kernel term of its own and sends it to the shifted redo.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.standard_normal((n, 3))
+        if far:
+            X[rng.integers(n)] = [40.0, 0.0, 0.0]
+        bw = make_bandwidth(np.eye(3) * 0.3)
+        model = fit_kde(X, bw)
+        Q = rows = None
+        if mode == "Q":
+            Q = 2.0 * rng.standard_normal((data.draw(st.integers(1, 30), label="queries"), 3))
+            expected = shifted_log_density(X, bw, Q)
+        else:
+            expected = shifted_log_density(X, bw, X, skip_self=True)
+        if mode == "rows":
+            rows = rng.permutation(n)[: data.draw(st.integers(1, n), label="rows")]
+            expected = expected[rows]
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kde, "_TILE_ROWS", tile[0])
+            mp.setattr(kde, "_TILE_COLS", tile[1])
+            for workers in (1, 2):
+                mp.setattr(linalg, "_worker_count", lambda w=workers: w)
+                runs.append(kde._log_kernel_sum(kde._Whitened(model), Q, rows))
+        np.testing.assert_allclose(runs[0], expected, rtol=1e-13, atol=0.0)
+        assert np.array_equal(runs[0], runs[1])
 
 
 def scott_model(X):
@@ -452,9 +526,10 @@ class TestLogDensityLooTopK:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_within_block_budget(self, monkeypatch, workers):
-        # The bound pass and both rounds each stay within the 1_000_000
-        # floats (8 MB) of their block buffers, and never overlap; the
-        # lifted samples and the leaf order add about 0.5 MB.
+        # The bound pass holds one leaf window per worker, at most
+        # 3 * _LEAF_ROWS^2 floats (1.5 MB); both rounds hold one tile per
+        # worker. The three never overlap, and the lifted samples, the leaf
+        # order and the sums stay within ROW_FLOATS a row.
         monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
         model = planted_model(5700, 300, 3)
         tracemalloc.start()
@@ -464,4 +539,5 @@ class TestLogDensityLooTopK:
         finally:
             tracemalloc.stop()
         assert not exact.all()
-        assert peak < 1.1 * 8 * 1_000_000
+        per_worker = max(3 * kde._LEAF_ROWS**2, TILE_FLOATS)
+        assert peak < 8 * (workers * per_worker + ROW_FLOATS * 6000)

@@ -299,10 +299,9 @@ class TestBlasThreadPin:
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """Two workers and a budget of 8 floats: row_blocks(n, 2, work) runs
-    blocks of 8 // (2 * 2) = 2 rows on a pool of two threads."""
+    """Two workers: row_blocks(n, 2, 4, work) runs blocks of 2 rows, each
+    with a buffer of 4 floats, on a pool of two threads."""
     monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
-    monkeypatch.setattr(linalg, "_BLOCK_FLOATS", 8)
 
 
 class TestRowBlocks:
@@ -318,13 +317,13 @@ class TestRowBlocks:
             time.sleep(0.02 if s % 4 == 0 else 0.0)  # even blocks finish last
             return list(range(s, e))
 
-        out = list(linalg.row_blocks(9, 2, work))
+        out = list(linalg.row_blocks(9, 2, 4, work))
         assert [(s, e) for s, e, _ in out] == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
         assert [r for _, _, rows in out for r in rows] == list(range(9))
         assert caller not in threads
 
     def test_lone_block_runs_inline(self, two_workers):
-        out = list(linalg.row_blocks(2, 2, lambda *_: threading.get_ident()))
+        out = list(linalg.row_blocks(2, 2, 4, lambda *_: threading.get_ident()))
         assert out == [(0, 2, threading.get_ident())]
 
     def test_caller_errstate_reaches_workers(self, two_workers):
@@ -332,15 +331,15 @@ class TestRowBlocks:
             return np.subtract(np.full(1, np.inf), np.inf)[0]
 
         with np.errstate(invalid="ignore"):
-            values = [v for _, _, v in linalg.row_blocks(6, 2, work)]
+            values = [v for _, _, v in linalg.row_blocks(6, 2, 4, work)]
         assert len(values) == 3 and np.all(np.isnan(values))
         with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-            list(linalg.row_blocks(6, 2, work))
+            list(linalg.row_blocks(6, 2, 4, work))
 
     def test_one_blas_thread_inside_restored_after(self, two_workers):
         get = blas_threads()
         before = get()
-        inside = [count for _, _, count in linalg.row_blocks(6, 2, lambda *_: get())]
+        inside = [count for _, _, count in linalg.row_blocks(6, 2, 4, lambda *_: get())]
         assert inside == [1, 1, 1]
         assert get() == before
 
@@ -348,7 +347,7 @@ class TestRowBlocks:
             raise MemoryError("Unable to allocate")
 
         with pytest.raises(MemoryError):
-            list(linalg.row_blocks(6, 2, fail))
+            list(linalg.row_blocks(6, 2, 4, fail))
         assert get() == before
 
     def test_no_block_starts_after_one_raised(self, two_workers):
@@ -366,7 +365,7 @@ class TestRowBlocks:
             return s
 
         with pytest.raises(ValueError, match="block 2"):
-            for _, _, s in linalg.row_blocks(20, 2, work):
+            for _, _, s in linalg.row_blocks(20, 2, 4, work):
                 done.append(s)
         assert done == [0]
         assert sorted(started) == [0, 2]
@@ -376,7 +375,6 @@ class TestRowBlocks:
         # a buffer shared by two running blocks, or a block out of order,
         # would show.
         monkeypatch.setattr(linalg, "_worker_count", lambda: 8)
-        monkeypatch.setattr(linalg, "_BLOCK_FLOATS", 8 * 64)
 
         def work(s, e, buf):
             buf[:] = s
@@ -386,7 +384,7 @@ class TestRowBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            out = list(linalg.row_blocks(400, 64, work))
+            out = list(linalg.row_blocks(400, 1, 64, work))
         finally:
             sys.setswitchinterval(interval)
         assert [(s, e) for s, e, _ in out] == [(s, s + 1) for s in range(400)]

@@ -16,8 +16,7 @@ from .errors import DataError, DegenerateDuplicatesError, InvalidInputError
 from .linalg import as_matrix, budget_rows, lift, row_blocks
 from .pca import fit_pca, project
 
-# Condition-number bound past which the Mahalanobis covariance is ridged.
-_COND_MAX = 1e12
+# The Mahalanobis ridge, relative to the mean eigenvalue.
 _RIDGE_EPS = 1e-8
 
 # knn_table's threshold is the k-th largest estimate among every this many
@@ -155,8 +154,10 @@ def mahalanobis_score(X) -> np.ndarray:
     It is summed in the PCA eigenbasis, sum_j (z_j^2 / lambda_j), so the
     inverse covariance is never formed, and is scale-free as long as the
     covariance neither overflows nor underflows.
-    Near-singular covariance is ridged by eps * trace/d on every eigenvalue
-    so the score is always defined.
+    When a direction is numerically null (PcaModel.rank < d), every
+    eigenvalue is ridged by eps * trace/d so the score is always defined.
+    The ridge also ranks the rows at n <= d, where the distance over the
+    non-null components alone is (n - 1)^2 / n for every row.
     """
     A = as_matrix(X)
     if A.shape[0] < 2:
@@ -164,9 +165,7 @@ def mahalanobis_score(X) -> np.ndarray:
     model = fit_pca(A)
     d = A.shape[1]
     vals = model.eigenvalues
-    lead = float(vals[0]) if vals[0] > 0.0 else 0.0
-    tail = float(vals[-1])
-    if lead == 0.0 or tail <= 0.0 or lead / tail > _COND_MAX:
+    if model.rank < d:
         trace = model.total_variance
         # S + ridge*I has the same eigenvectors, with every eigenvalue shifted.
         vals = vals + _RIDGE_EPS * (trace / d if trace > 0.0 else 1.0)

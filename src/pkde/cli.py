@@ -187,6 +187,9 @@ def _parse_grid(text: str | None) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
+    out, plot = args.output, args.plot_data
+    if out and plot and os.path.realpath(out) == os.path.realpath(plot):
+        raise InvalidInputError("-o and --plot-data name the same file")
     ds = _load(args.input, args, args.label_column)
     reports = metrics.sweep(
         [d.strip() for d in args.detectors.split(",") if d.strip()],

@@ -21,10 +21,6 @@ from .kde import BANDWIDTH_RULES, fit_kde, log_density_loo_top_k, scott_bandwidt
 from .linalg import _one_blas_thread, as_matrix, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
-# Components with eigenvalue below this fraction of the leading one are
-# numerically rank-deficient and always dropped before KDE.
-_RANK_REL = 1e-12
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -99,15 +95,10 @@ def _pkde_scores(A, p: int, config: DetectorConfig):
     if A.shape[0] < 3:
         raise InvalidInputError(f"need at least 3 rows, got {A.shape[0]}")
     model = fit_pca(A)
-    if model.total_variance <= 0.0:
+    if model.rank == 0:
         raise DegenerateDataError("all columns are constant; nothing to score")
-    if config.fixed_dim is not None:
-        m = min(config.fixed_dim, model.components.shape[1])
-    else:
-        m = choose_dim(model, config.variance_threshold)
-    # Drop numerically rank-deficient directions regardless of the threshold.
-    rank = int(np.sum(model.eigenvalues >= _RANK_REL * model.eigenvalues[0]))
-    m = min(m, max(rank, 1))
+    wanted = config.fixed_dim or choose_dim(model, config.variance_threshold)
+    m = min(wanted, model.rank)  # numerically null directions always go
     reduced = project(model, A, m)
     S_red = np.diag(model.eigenvalues[:m])  # the covariance of the projection
     bw = scott_bandwidth(S_red, A.shape[0], rule=config.bandwidth_rule)

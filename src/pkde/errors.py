@@ -37,7 +37,8 @@ class DegenerateDuplicatesError(DegenerateDataError):
 
 
 class NumericalError(PkdeError):
-    """An iterative numeric procedure failed to converge."""
+    """A numeric step failed: LAPACK raised, a detector produced
+    non-finite scores, or the bandwidth matrix is singular."""
 
 
 class SingularBandwidthError(NumericalError):

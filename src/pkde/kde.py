@@ -15,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBandwidthError
-from .linalg import as_matrix, as_vector, lift, row_blocks
-
-# Below this Cholesky pivot, relative to trace(H), the bandwidth is singular.
-_SINGULAR_REL = 1e-12
+from .linalg import as_matrix, as_vector, lift, rank_of, row_blocks
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -63,30 +60,12 @@ class KdeModel:
     d: int
 
 
-def _spd_inverse_logdet(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant of H from one Cholesky factor H = L Lᵀ.
-
-    A pivot L_ii² at or below _SINGULAR_REL * trace(H) is a (near-)zero
-    direction; the test is relative, so it does not depend on data scale.
-    """
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is None or not np.all(np.diag(L) ** 2 > _SINGULAR_REL * float(np.trace(H))):
-        raise SingularBandwidthError(
-            "bandwidth matrix is singular or near-singular; reduce the "
-            "dimension to drop the degenerate direction"
-        )
-    L_inv = np.linalg.inv(L)
-    return L_inv.T @ L_inv, float(2.0 * np.sum(np.log(np.diag(L))))
-
-
 def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     """Bandwidth H = n^(-1/(d+4)) * S from a covariance estimate S.
 
     rule "scott-squared" applies the square of the factor instead, the
-    conventional covariance-form variant of the same rule.
+    conventional covariance-form variant of the same rule. A numerically
+    null direction of (S + Sᵀ)/2 (linalg.rank_of) raises SingularBandwidthError.
     """
     A = as_matrix(S, "S")
     if A.shape[0] != A.shape[1]:
@@ -98,9 +77,20 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     d = A.shape[0]
     factor = float(n) ** (-1.0 / (d + 4))
     scale = factor * factor if rule == "scott-squared" else factor
-    H = 0.5 * scale * (A + A.T)
-    H_inv, log_det = _spd_inverse_logdet(H)
-    return Bandwidth(H=H, H_inv=H_inv, log_det_H=log_det, scott_factor=scale)
+    S_sym = 0.5 * (A + A.T)
+    H = scale * S_sym
+    try:
+        L = np.linalg.cholesky(H) if rank_of(np.linalg.eigvalsh(S_sym)) == d else None
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None:
+        raise SingularBandwidthError(
+            "bandwidth matrix is singular or near-singular; reduce the "
+            "dimension to drop the degenerate direction"
+        )
+    L_inv = np.linalg.inv(L)
+    log_det = float(2.0 * np.sum(np.log(np.diag(L))))
+    return Bandwidth(H=H, H_inv=L_inv.T @ L_inv, log_det_H=log_det, scott_factor=scale)
 
 
 def fit_kde(samples, bandwidth: Bandwidth) -> KdeModel:

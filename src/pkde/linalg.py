@@ -30,6 +30,10 @@ from .errors import DataError, InvalidInputError, NumericalError
 # Relative magnitude below which negative eigenvalues are treated as roundoff.
 _EIG_CLAMP_REL = 1e-10
 
+# An eigenvalue at or below this fraction of the largest one is numerically
+# null. rank_of is pkde's one test of it: PCA rank, bandwidth, Mahalanobis.
+_NULL_REL = 1e-12
+
 _SYMMETRY_TOL = 1e-10
 
 # Guards every read and read-set-restore of the process-wide BLAS thread count.
@@ -244,6 +248,13 @@ def covariance(X_centered) -> np.ndarray:
     if not np.all(np.isfinite(S)):
         raise DataError("covariance overflows float64; rescale the data")
     return 0.5 * (S + S.T)
+
+
+def rank_of(eigenvalues) -> int:
+    """Number of eigenvalues above _NULL_REL times the largest, that is of
+    directions that are not numerically null; 0 when the largest is <= 0."""
+    vals = np.asarray(eigenvalues)
+    return int(np.count_nonzero(vals > _NULL_REL * vals.max()))
 
 
 def sym_eigen(S) -> SymEigen:

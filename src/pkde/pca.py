@@ -9,20 +9,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, center_columns, covariance, sym_eigen
+from .linalg import as_matrix, center_columns, covariance, rank_of, sym_eigen
 
 
 @dataclass(frozen=True)
 class PcaModel:
     """Fitted PCA model. components[:, i] is the i-th principal direction
     (unit norm), eigenvalues descending; explained_ratio[i] is the fraction
-    of total variance carried by component i."""
+    of total variance carried by component i; rank (linalg.rank_of) counts
+    the components that are not numerically null."""
 
     mean: np.ndarray
     components: np.ndarray
     eigenvalues: np.ndarray
     explained_ratio: np.ndarray
     total_variance: float
+
+    @property
+    def rank(self) -> int:
+        return rank_of(self.eigenvalues)
 
 
 def fit_pca(X) -> PcaModel:

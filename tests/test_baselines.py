@@ -12,7 +12,9 @@ from pkde.baselines import (
     lof_score,
     mahalanobis_score,
 )
+from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.errors import DataError, DegenerateDuplicatesError, InvalidInputError
+from pkde.pca import fit_pca, project
 
 
 def brute_neighbors(X, k):
@@ -271,6 +273,20 @@ class TestLofScore:
         assert np.allclose(lof_score(X, 5)[perm], lof_score(X[perm], 5), rtol=1e-12)
 
 
+def ridged_mahalanobis(X):
+    """The ridge rule pinned by value: every eigenvalue is shifted by
+    1e-8 * trace/d (1e-8 on constant data) when the smallest is at or below
+    1e-12 times the largest."""
+    model = fit_pca(X)
+    d = X.shape[1]
+    vals = model.eigenvalues
+    assert vals[-1] <= 1e-12 * vals[0]  # the cases below all take the ridge
+    trace = model.total_variance
+    vals = vals + 1e-8 * (trace / d if trace > 0.0 else 1.0)
+    Z = project(model, X, d) / np.sqrt(vals)
+    return np.sum(Z * Z, axis=1)
+
+
 class TestMahalanobisScore:
     def test_identity_covariance_is_squared_norm(self):
         # sample covariance of these points is exactly the identity
@@ -300,6 +316,23 @@ class TestMahalanobisScore:
         s1 = mahalanobis_score(X)
         s2 = mahalanobis_score(X @ A + b)
         assert np.array_equal(np.argsort(s1), np.argsort(s2))
+
+    def test_ridge_cases_bit_identical_to_rule(self):
+        X = np.random.default_rng(50).standard_normal((300, 6))
+        planted = gen_synthetic(
+            SynthSpec("gaussian-planted", n_normal=190, n_outlier=10, dim=500,
+                      seed=0, distance=1.2 * 500**0.5)
+        )
+        for A in (np.c_[X, X[:, 2]], planted.X, np.ones((5, 2))):
+            assert np.array_equal(mahalanobis_score(A), ridged_mahalanobis(A))
+        # At n <= d every row is at (n - 1)^2 / n over the non-null
+        # components; the ridge alone breaks the tie, here for the planted rows.
+        scores = mahalanobis_score(planted.X)
+        assert np.abs(scores / (199**2 / 200) - 1.0).max() <= 1e-7
+        assert np.array_equal(
+            np.sort(np.argsort(-scores, kind="stable")[:10]),
+            np.flatnonzero(planted.labels),
+        )
 
     def test_constant_data_regularized_not_raising(self):
         scores = mahalanobis_score(np.ones((5, 2)))

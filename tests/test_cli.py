@@ -175,6 +175,23 @@ class TestDetect:
             assert [int(r["label"]) for r in rows] == truth.tolist()
             assert all(np.isfinite(float(r["score"])) for r in rows)
 
+    def test_tiny_but_real_direction_exit_0(self, tmp_path):
+        # A column at 1.5e-6 of the others is above the null threshold, so
+        # PKDE keeps it and must not call its bandwidth singular.
+        X = np.random.default_rng(0).standard_normal((400, 5))
+        X[:, 4] *= 1.5e-6
+        data = tmp_path / "d.csv"
+        np.savetxt(data, X, delimiter=",", fmt="%.17g")
+        out = tmp_path / "scores.json"
+        rc = run(
+            [
+                "detect", "-i", str(data), "--no-header", "--contamination", "0.05",
+                "--fixed-dim", "5", "--format", "json", "-o", str(out),
+            ]
+        )
+        assert rc == 0
+        assert json.loads(out.read_text())["reduced_dim"] == 5
+
     @pytest.mark.parametrize("where", ["scorer", "kernel-sum block"])
     def test_out_of_memory_exit_2_no_output(self, tmp_path, capsys, monkeypatch, where):
         def exhausted(*args):
@@ -268,6 +285,28 @@ class TestSweep:
             plot_rows = list(csv.reader(fh))
         assert plot_rows[0] == ["contamination", "detector", "f1"]
         assert len(plot_rows) == 1 + 4
+
+    def test_same_report_and_plot_path_exit_1_no_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args):
+            raise AssertionError("a detector ran")
+
+        monkeypatch.setitem(detector._SCORERS, "pkde", never)
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        (tmp_path / "sub").mkdir()
+        same = tmp_path / "same.csv"
+        rc = run(
+            [
+                "sweep", "-i", str(data), "--detectors", "pkde", "--grid", "0.05,0.1",
+                "-o", str(same),
+                "--plot-data", str(tmp_path / "sub" / ".." / "same.csv"),
+            ]
+        )
+        assert rc == 1
+        assert not same.exists()
+        assert "same file" in capsys.readouterr().err
 
     def test_all_detectors_default_grid(self, tmp_path):
         data = tmp_path / "d.csv"

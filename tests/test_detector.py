@@ -177,6 +177,40 @@ class TestPkdeFitScore:
         )
         assert result.reduced_dim == 2
 
+    def test_tiny_but_real_direction_kept(self):
+        # Variance 2.25e-12 of the leading one: above the null threshold, so
+        # PKDE keeps the column and the bandwidth on it must be accepted.
+        X = np.random.default_rng(0).standard_normal((400, 5))
+        X[:, 4] *= 1.5e-6
+        result = detect("pkde", X, DetectorConfig(0.05, fixed_dim=5))
+        assert result.reduced_dim == 5
+        assert np.all(np.isfinite(result.scores))
+
+    @given(
+        n=st.integers(min_value=3, max_value=12),
+        d=st.integers(min_value=2, max_value=8),
+        exponents=st.lists(
+            st.floats(min_value=0.0, max_value=9.0), min_size=8, max_size=8
+        ),
+        duplicate=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(n=400, d=5, exponents=[0.0] * 4 + [5.82] * 4, duplicate=False, seed=0)
+    @example(n=40, d=4, exponents=[0.0] * 3 + [6.0] * 5, duplicate=True, seed=1)
+    @settings(max_examples=25, deadline=None)
+    def test_every_fixed_dim_capped_at_rank(self, n, d, exponents, duplicate, seed):
+        # Column scales 10^-u, a duplicated column, n <= d: PKDE drops
+        # exactly the numerically null directions and never meets a singular
+        # bandwidth, whatever fixed_dim asks for.
+        X = np.random.default_rng(seed).standard_normal((n, d))
+        X *= 10.0 ** -np.asarray(exponents[:d])
+        if duplicate:
+            X[:, -1] = X[:, 0]
+        rank = fit_pca(linalg.pow2_scale(X)[0]).rank
+        for fixed_dim in range(1, d + 1):
+            result = detect("pkde", X, DetectorConfig(0.1, fixed_dim=fixed_dim))
+            assert result.reduced_dim == min(fixed_dim, rank)
+
 
 class TestDetect:
     def test_dispatch_identity(self):

@@ -23,6 +23,7 @@ from pkde.kde import (
     log_density_loo_top_k,
     scott_bandwidth,
 )
+from pkde.pca import PcaModel
 
 
 def brute_force_density(samples, H, query):
@@ -107,6 +108,31 @@ class TestScottBandwidth:
         ):
             with pytest.raises(SingularBandwidthError):
                 scott_bandwidth(S, 50)
+
+    @pytest.mark.parametrize("lead", [1.0, 0.7, 3.0e5, 1.3 * 2.0**-40])
+    def test_singular_exactly_when_pca_rank_drops(self, lead):
+        # PKDE hands scott_bandwidth diag(eigenvalues[:m]) with m <= rank, so
+        # the two tests must agree to the last bit at the threshold.
+        lam = 1e-12 * lead
+        for _ in range(8):
+            lam = np.nextafter(lam, 0.0)
+        seen = set()
+        for _ in range(17):
+            vals = np.array([lead, lam])
+            model = PcaModel(
+                mean=np.zeros(2), components=np.eye(2), eigenvalues=vals,
+                explained_ratio=vals / vals.sum(), total_variance=float(vals.sum()),
+            )
+            for n, rule in ((50, "scott"), (1000, "scott-squared")):
+                try:
+                    scott_bandwidth(np.diag(vals), n, rule=rule)
+                    accepted = True
+                except SingularBandwidthError:
+                    accepted = False
+                assert accepted == (model.rank == 2), (lead, lam, n)
+                seen.add(accepted)
+            lam = np.nextafter(lam, np.inf)
+        assert seen == {True, False}
 
     def test_inverse_cached(self):
         # The inverse and log-det must not depend on the scale of S.

@@ -52,6 +52,24 @@ class TestFitPca:
         assert abs(model.explained_ratio.sum() - 1.0) <= 1e-10
 
 
+class TestRank:
+    def test_full_rank(self):
+        X = np.random.default_rng(26).standard_normal((30, 4))
+        assert fit_pca(X).rank == 4
+
+    def test_duplicated_column(self):
+        X = np.random.default_rng(27).standard_normal((30, 4))
+        assert fit_pca(np.c_[X, X[:, 1]]).rank == 4
+
+    @pytest.mark.parametrize("n, d", [(5, 8), (6, 6)])
+    def test_n_at_most_d(self, n, d):
+        X = np.random.default_rng(28).standard_normal((n, d))
+        assert fit_pca(X).rank == n - 1
+
+    def test_constant_data(self):
+        assert fit_pca(np.full((10, 3), 2.5)).rank == 0
+
+
 class TestChooseDim:
     def test_cumulative(self):
         assert choose_dim(_model([0.7, 0.2, 0.1]), 0.9) == 2

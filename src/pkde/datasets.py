@@ -140,7 +140,7 @@ def _read_rows(path, has_header: bool) -> tuple[list[str] | None, np.ndarray]:
     stripped, blank rows dropped. The cells are parsed in one numpy call;
     only if that fails are the rows walked in order to name the first ragged
     row or bad cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
     rows = [row for row in rows if any(row)]
     if not rows:
@@ -171,7 +171,7 @@ def _read_loadtxt(path, has_header: bool) -> tuple[list[str] | None, np.ndarray]
     ragged row, a cell it cannot parse) or found no rows or a non-finite
     value."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = None
             if has_header:
                 rows = ([cell.strip() for cell in row] for row in csv.reader(fh))

@@ -18,7 +18,7 @@ import numpy as np
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
 from .kde import BANDWIDTH_RULES, fit_kde, log_density_loo_top_k, scott_bandwidth
-from .linalg import _one_blas_thread, as_matrix, pow2_scale
+from .linalg import _one_blas_thread, as_matrix, lowest_k, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
 
@@ -65,16 +65,16 @@ class DetectionResult:
 
 
 def top_k_select(scores, k: int) -> np.ndarray:
-    """Binary labels marking the k largest scores; boundary ties go to the
-    lower index."""
+    """Binary labels marking the k largest scores, as the first k of
+    np.argsort(-scores, kind="stable") would: boundary ties go to the lower
+    index and NaN scores come last."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise InvalidInputError("scores must be a 1-D vector")
     if not 1 <= k <= s.shape[0]:
         raise InvalidInputError(f"k={k} out of range [1, {s.shape[0]}]")
-    order = np.argsort(-s, kind="stable")
     labels = np.zeros(s.shape[0], dtype=np.int64)
-    labels[order[:k]] = 1
+    labels[lowest_k(-s, k)] = 1
     return labels
 
 

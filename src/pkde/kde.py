@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBandwidthError
-from .linalg import as_matrix, as_vector, lift, rank_of, row_blocks
+from .linalg import as_matrix, as_vector, lift, lowest_k, rank_of, row_blocks
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -328,11 +328,16 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
 
     The bound of a row is its self-masked kernel sum over its own leaf and
     the neighbouring leaf on each side (_leaf_order, on the whitened rows):
-    every kernel term is positive, so a partial sum is a lower bound. Leaves
-    go in row_blocks blocks of _LEAF_BLOCK, and each leaf is one product
-    with its window, in a buffer that holds one window, so a bound depends
-    on neither the block height, the worker count nor the tile shape. A sum
-    below _UNDERFLOW_SUM counts as 0.
+    every kernel term is positive, so a partial sum is a lower bound. Each
+    pair of neighbouring leaves is summed once: leaf j's rows make one
+    product with leaves j and j+1, in a buffer of 2 * (largest leaf)^2
+    floats, whose row sums go to leaf j's rows and whose column sums over
+    leaf j+1 go to leaf j+1's rows. Leaves go in row_blocks blocks of
+    _LEAF_BLOCK; each product depends only on its two leaves, and a row
+    adds at most two of them, so a bound depends on neither the block
+    height, the worker count nor the tile shape. A sum below _UNDERFLOW_SUM
+    counts as 0. The fallback counts each row's window of three leaves
+    against the n(n-1)/2 pairs of the full sum.
     """
     model = wh.model
     n, m = model.n, model.d
@@ -344,22 +349,28 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
     if int(sizes @ (hi - lo)) >= n * (n - 1) // 2:
         return None
 
-    def leaf_sums(s, e, buf):
-        out = []
+    def pair_sums(s, e, buf):
+        # The partial sums of leaves s to e in leaf order; leaf e gets only
+        # the column sums of leaf e - 1.
+        base = starts[s]
+        out = np.zeros(starts[min(e + 1, leaves.size)] - base)
         for j in range(s, e):
-            a, b = starts[j] - lo[j], starts[j + 1] - lo[j]  # the leaf in its window
-            window = wh.B[order[lo[j] : hi[j]]]
-            k = _kernels(window[a:b][:, wh.swap], window, buf, np.arange(a, b))
-            out.append(k.sum(axis=1))
-        return np.concatenate(out)
+            a, b, c = starts[j], starts[j + 1], starts[min(j + 2, leaves.size)]
+            C = wh.B[order[a:c]]  # leaves j and j + 1
+            k = _kernels(C[: b - a][:, wh.swap], C, buf, np.arange(b - a))
+            out[a - base : b - base] += k.sum(axis=1)
+            out[b - base : c - base] += k[:, b - a :].sum(axis=0)
+        return out
 
-    sums = np.empty(n)
-    window = int(np.max(sizes * (hi - lo)))
-    for s, e, block in row_blocks(leaves.size, _LEAF_BLOCK, window, leaf_sums):
-        sums[order[starts[s] : starts[e]]] = block
+    sums = np.zeros(n)  # in leaf order
+    pair = 2 * int(sizes.max()) ** 2
+    for s, e, block in row_blocks(leaves.size, _LEAF_BLOCK, pair, pair_sums):
+        sums[starts[s] : starts[s] + block.size] += block
     sums[~(sums >= _UNDERFLOW_SUM)] = 0.0
     with np.errstate(divide="ignore"):
-        out = np.log(sums, out=sums)
+        np.log(sums, out=sums)
+    out = np.empty(n)
+    out[order] = sums
     return out + (_log_kernel_const(model.bandwidth, m) - np.log(n - 1))
 
 
@@ -378,6 +389,8 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
     covers the rounding between a partial sum and a full sum, and of
     offset - value, the scores the caller makes; so offset - bound is at
     least the row's exact score and strictly below the k-th highest score.
+    Round 1 takes its rows in the order of a stable sort of the bounds,
+    found by a partition (linalg.lowest_k).
 
     Everything is exact, and equal to log_density_loo, when k > n/4, when
     the bounds would cost as much as the full sum, or when round 2 would make
@@ -391,7 +404,7 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
     if out is None:
         return _log_kernel_sum(wh, None), np.ones(n, dtype=bool)
     exact = np.zeros(n, dtype=bool)
-    first = np.argsort(out, kind="stable")[:k]
+    first = lowest_k(out, k)
     exact[first] = True
     out[first] = _log_kernel_sum(wh, None, rows=first)
     t = float(out[first].max())

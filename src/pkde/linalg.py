@@ -1,7 +1,7 @@
 """Dense linear algebra for the detector: centering, covariance, a LAPACK
 eigensolver for symmetric matrices, the exact power-of-two rescale of every
-detect input, and the row lift and row-block scheduler of the kernel sum and
-neighbour table.
+detect input, the row lift and row-block scheduler of the kernel sum and
+neighbour table, and the stable selection of the k lowest values.
 
 Matrices are plain float64 numpy arrays in row-major order; the validators
 below reject anything non-rectangular or non-finite. All functions are pure.
@@ -34,6 +34,9 @@ _EIG_CLAMP_REL = 1e-10
 # null. rank_of is pkde's one test of it: PCA rank, bandwidth, Mahalanobis.
 _NULL_REL = 1e-12
 
+# sym_eigen rejects a matrix whose largest asymmetry exceeds this fraction
+# of its largest entry: a relative test, so a scaled matrix passes or fails
+# with the original.
 _SYMMETRY_TOL = 1e-10
 
 # Guards every read and read-set-restore of the process-wide BLAS thread count.
@@ -179,6 +182,19 @@ def lift(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return L, np.r_[:d, d + 1, d]
 
 
+def lowest_k(x: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(x, kind="stable")[:k] for 1 <= k <= len(x): the indices
+    of the k lowest values, ties in index order and NaN last. A partition
+    finds the k-th lowest value, and only the values at or below it are
+    sorted; with fewer than k values not NaN, that value is NaN and all of
+    x is sorted."""
+    cut = np.partition(x, k - 1)[k - 1]
+    cand = np.flatnonzero(x <= cut)
+    if cand.size < k:
+        return np.argsort(x, kind="stable")[:k]
+    return cand[np.argsort(x[cand], kind="stable")[:k]]
+
+
 def pow2_scale(A: np.ndarray) -> tuple[np.ndarray, int]:
     """(A * 2**-p, p) with 2**p the power of two just above max |A|.
 
@@ -269,7 +285,7 @@ def sym_eigen(S) -> SymEigen:
     if n != m:
         raise InvalidInputError(f"eigensolver needs a square matrix, got {A.shape}")
     asym = float(np.max(np.abs(A - A.T)))
-    if asym > _SYMMETRY_TOL:
+    if asym > _SYMMETRY_TOL * float(np.max(np.abs(A))):
         raise InvalidInputError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
     trace = float(np.trace(A))

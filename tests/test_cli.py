@@ -175,6 +175,28 @@ class TestDetect:
             assert [int(r["label"]) for r in rows] == truth.tolist()
             assert all(np.isfinite(float(r["score"])) for r in rows)
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_byte_order_mark_exit_0(self, tmp_path, header):
+        # A "CSV UTF-8" spreadsheet export begins with a byte-order mark,
+        # here in front of the label column's name or of the first value.
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        ds = load_csv(data, label_column="label")
+        rows = [f"{y},{a!r},{b!r}" for y, (a, b) in zip(ds.labels, ds.X.tolist())]
+        if header:
+            rows.insert(0, "label,a,b")
+        else:
+            rows = [row.split(",", 1)[1] for row in rows]
+        data.write_bytes(b"\xef\xbb\xbf" + "\n".join(rows).encode())
+        out = tmp_path / "scores.csv"
+        columns = ["--label-column", "label"] if header else ["--no-header"]
+        rc = run(["detect", "-i", str(data), *columns, "--contamination", "0.05",
+                  "-o", str(out)])
+        assert rc == 0
+        with out.open() as fh:
+            predicted = [int(r["label"]) for r in csv.DictReader(fh)]
+        assert predicted == ds.labels.tolist()
+
     def test_tiny_but_real_direction_exit_0(self, tmp_path):
         # A column at 1.5e-6 of the others is above the null threshold, so
         # PKDE keeps it and must not call its bandwidth singular.

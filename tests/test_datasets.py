@@ -114,6 +114,19 @@ class TestLoadCsv:
         assert ds.n == 2
         assert ds.d == 2
 
+    @pytest.mark.parametrize("read", [datasets._read_rows, datasets._read_loadtxt])
+    def test_byte_order_mark_ignored(self, tmp_path, read):
+        # Spreadsheet "CSV UTF-8" exports begin with a byte-order mark.
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + LABELED_CSV.encode())
+        header, data = read(path, True)
+        assert header == ["a", "b", "label"]
+        assert load_csv(path, label_column="label").labels.tolist() == [0, 0, 1]
+        path.write_bytes(b"\xef\xbb\xbf1.0,2\n3,4\n")
+        header, data = read(path, False)
+        assert header is None
+        assert data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
     def test_crlf_accepted(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"a,b\r\n1,2\r\n3,4\r\n")

@@ -68,6 +68,25 @@ class TestTopKSelect:
         with pytest.raises(InvalidInputError):
             top_k_select([1.0, 2.0, 3.0], k)
 
+    @given(
+        st.lists(
+            st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]),
+            min_size=1, max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_partition_matches_stable_argsort(self, values):
+        # Ties, -0.0 against 0.0, infinities and NaN, at every k: the
+        # partition-based selection gives the indices and order of the
+        # stable argsort, and the labels of its first k on the negation.
+        x = np.array(values)
+        up, down = np.argsort(x, kind="stable"), np.argsort(-x, kind="stable")
+        for k in range(1, x.size + 1):
+            assert np.array_equal(linalg.lowest_k(x, k), up[:k])
+            expected = np.zeros(x.size, dtype=np.int64)
+            expected[down[:k]] = 1
+            assert np.array_equal(top_k_select(x, k), expected)
+
 
 class TestPkdeFitScore:
     def test_planted_outliers_found_exactly(self):

@@ -455,7 +455,83 @@ def assert_certified(out, exact, oracle, k):
         assert np.array_equal(top_k_select(-out, k), top_k_select(-oracle, k))
 
 
+def window_bounds(wh, order, starts):
+    """Independent reference for _log_local_bounds: each row's self-masked
+    kernel sum over its own leaf and the leaf on each side, from explicit
+    differences of the whitened rows, summed densely; or None where those
+    windows hold as many terms as the n(n-1)/2 pairs of the full sum."""
+    n, m = wh.model.n, wh.model.d
+    Z = wh.B[:, :m]
+    last = starts.size - 1
+    windows = [order[starts[max(j - 1, 0)] : starts[min(j + 2, last)]] for j in range(last)]
+    if sum((b - a) * w.size for a, b, w in zip(starts, starts[1:], windows)) >= n * (n - 1) // 2:
+        return None
+    sums = np.empty(n)
+    for a, b, window in zip(starts, starts[1:], windows):
+        rows = order[a:b]
+        k = np.exp(-0.5 * ((Z[rows, None, :] - Z[None, window, :]) ** 2).sum(axis=2))
+        k[rows[:, None] == window[None, :]] = 0.0
+        sums[rows] = k.sum(axis=1)
+    sums[~(sums >= kde._UNDERFLOW_SUM)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(sums)
+    return out + (kde._log_kernel_const(wh.model.bandwidth, m) - math.log(n - 1))
+
+
 class TestLogDensityLooTopK:
+    @given(
+        st.integers(min_value=2, max_value=3000),
+        st.one_of(st.integers(min_value=1, max_value=64), st.just(256)),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_match_window_oracle(self, n, leaf_rows, data):
+        # Leaves of 1 to 64 rows, or the default 256, so that small inputs
+        # have many leaves, lone-row leaves among them. Duplicated rows and a
+        # coordinate on a coarse grid put equal values on both sides of a
+        # split. Every block height and worker count gives the same bits.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        X = rng.standard_normal((n, 3))
+        X[:, 0] = np.round(X[:, 0] * 2.0) / 2.0
+        dups = rng.integers(n, size=data.draw(st.integers(0, n // 2), label="dups"))
+        X[dups] = X[rng.integers(n, size=dups.size)]
+        model = fit_kde(X, make_bandwidth(np.eye(3) * 0.3))
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kde, "_LEAF_ROWS", leaf_rows)
+            wh = kde._Whitened(model)
+            expected = window_bounds(wh, *kde._leaf_order(wh.B[:, :3]))
+            for block in (1, 8):
+                mp.setattr(kde, "_LEAF_BLOCK", block)
+                for workers in (1, 2):
+                    mp.setattr(linalg, "_worker_count", lambda w=workers: w)
+                    runs.append(kde._log_local_bounds(wh))
+        if expected is None:
+            assert all(run is None for run in runs)
+            return
+        np.testing.assert_allclose(runs[0], expected, rtol=1e-14, atol=0.0)
+        assert all(np.array_equal(run, runs[0]) for run in runs)
+
+    def test_bound_pass_sums_each_leaf_pair_once(self, monkeypatch):
+        # Leaf j's rows meet leaves j and j + 1 in one product, whose first
+        # block masks their self terms: sum_j s_j * (s_j + s_(j+1)) terms,
+        # against sum_j s_j * (s_(j-1) + s_j + s_(j+1)) with a window per row.
+        model = planted_model(3800, 200, 8)
+        wh = kde._Whitened(model)
+        sizes = np.diff(kde._leaf_order(wh.B[:, :8])[1])
+        calls = []
+        real = kde._kernels
+
+        def spy(L, C, buf, own=None):
+            calls.append((L.shape[0], C.shape[0], own))
+            return real(L, C, buf, own)
+
+        monkeypatch.setattr(kde, "_kernels", spy)
+        assert kde._log_local_bounds(wh) is not None
+        assert sum(r * c for r, c, _ in calls) == int(sizes @ (sizes + np.r_[sizes[1:], 0]))
+        assert sorted(r for r, _, _ in calls) == sorted(sizes.tolist())
+        assert all(own is not None and np.array_equal(own, np.arange(r)) for r, _, own in calls)
+
     @given(
         st.one_of(st.none(), st.floats(min_value=0.02, max_value=0.1)),
         st.integers(min_value=300, max_value=3000),
@@ -552,8 +628,8 @@ class TestLogDensityLooTopK:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_within_block_budget(self, monkeypatch, workers):
-        # The bound pass holds one leaf window per worker, at most
-        # 3 * _LEAF_ROWS^2 floats (1.5 MB); both rounds hold one tile per
+        # The bound pass holds one pair of leaves per worker, at most
+        # 2 * _LEAF_ROWS^2 floats (1 MB); both rounds hold one tile per
         # worker. The three never overlap, and the lifted samples, the leaf
         # order and the sums stay within ROW_FLOATS a row.
         monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
@@ -565,5 +641,5 @@ class TestLogDensityLooTopK:
         finally:
             tracemalloc.stop()
         assert not exact.all()
-        per_worker = max(3 * kde._LEAF_ROWS**2, TILE_FLOATS)
+        per_worker = max(2 * kde._LEAF_ROWS**2, TILE_FLOATS)
         assert peak < 8 * (workers * per_worker + ROW_FLOATS * 6000)

@@ -174,6 +174,19 @@ class TestSymEigen:
         with pytest.raises(InvalidInputError):
             sym_eigen([[1.0, 2.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+    def test_symmetry_judged_relative_to_scale(self, scale):
+        # Q diag(5..1) Q^T is symmetric up to rounding at any scale, and a
+        # scaled copy has the scaled eigenvalues.
+        Q = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))[0]
+        S = (Q * [5.0, 4.0, 3.0, 2.0, 1.0]) @ Q.T
+        vals = sym_eigen(S * scale).eigenvalues
+        np.testing.assert_allclose(vals, scale * np.array([5.0, 4.0, 3.0, 2.0, 1.0]), rtol=1e-12)
+
+    def test_tiny_asymmetric_rejected(self):
+        with pytest.raises(InvalidInputError):
+            sym_eigen([[1e-12, 5e-11], [0.0, 1e-12]])
+
     def test_lapack_failure_is_numerical_error(self, monkeypatch):
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import metrics
 from .datasets import (
@@ -34,16 +35,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A flag's dest names the SynthSpec or DetectorConfig field it sets.
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
     p.add_argument("--kind", choices=SYNTH_KINDS, default="gaussian-planted")
-    p.add_argument("--n", type=int, default=100, help="number of normal points")
-    p.add_argument("--outliers", type=int, default=0, help="planted outliers")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--distance", type=float, default=10.0)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--variance-ratio", type=float, default=0.25)
+    p.add_argument("--n", dest="n_normal", metavar="N", type=int, default=100,
+                   help="number of normal points")
+    p.add_argument("--outliers", dest="n_outlier", metavar="OUTLIERS", type=int,
+                   help="planted outliers")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--distance", type=float)
+    p.add_argument("--separation", type=float)
+    p.add_argument("--variance-ratio", type=float)
     p.add_argument("-o", "--output", required=True)
 
     def add_io(p):
@@ -55,10 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output path (default: stdout)")
 
     def add_detector_opts(p):
-        p.add_argument("--variance-threshold", type=float, default=0.90)
-        p.add_argument("--fixed-dim", type=int, default=None)
-        p.add_argument("--bandwidth-rule", choices=BANDWIDTH_RULES, default="scott")
-        p.add_argument("-k", "--neighbors", type=int, default=10,
+        p.add_argument("--variance-threshold", type=float)
+        p.add_argument("--fixed-dim", type=int)
+        p.add_argument("--bandwidth-rule", choices=BANDWIDTH_RULES)
+        p.add_argument("-k", "--neighbors", type=int,
                        help="k for the kNN-distance and LOF baselines")
 
     p = sub.add_parser("detect", help="score and label one dataset")
@@ -123,35 +127,22 @@ def _load(path, args, label_column):
         raise DataError(str(exc)) from exc
 
 
-def _config(args, contamination: float) -> DetectorConfig:
-    return DetectorConfig(
-        contamination=contamination,
-        variance_threshold=args.variance_threshold,
-        fixed_dim=args.fixed_dim,
-        bandwidth_rule=args.bandwidth_rule,
-        neighbors=args.neighbors,
-    )
+def _given(args, cls) -> dict:
+    """The given flags that name a field of cls; a flag the command lacks or
+    that was left out (None) is skipped, so its field keeps its default."""
+    values = ((f.name, getattr(args, f.name, None)) for f in fields(cls))
+    return {name: value for name, value in values if value is not None}
 
 
 def _cmd_synth(args) -> int:
-    spec = SynthSpec(
-        kind=args.kind,
-        n_normal=args.n,
-        n_outlier=args.outliers,
-        dim=args.dim,
-        seed=args.seed,
-        rho=args.rho,
-        distance=args.distance,
-        separation=args.separation,
-        variance_ratio=args.variance_ratio,
-    )
-    write_csv(gen_synthetic(spec), args.output)
+    write_csv(gen_synthetic(SynthSpec(**_given(args, SynthSpec))), args.output)
     return EXIT_OK
 
 
 def _cmd_detect(args) -> int:
     ds = _load(args.input, args, args.label_column)
-    result = detect(args.detector, ds.X, _config(args, args.contamination))
+    config = DetectorConfig(**_given(args, DetectorConfig))
+    result = detect(args.detector, ds.X, config)
     if args.format == "json":
         text = json.dumps(
             {
@@ -191,16 +182,9 @@ def _cmd_sweep(args) -> int:
     if out and plot and os.path.realpath(out) == os.path.realpath(plot):
         raise InvalidInputError("-o and --plot-data name the same file")
     ds = _load(args.input, args, args.label_column)
-    reports = metrics.sweep(
-        [d.strip() for d in args.detectors.split(",") if d.strip()],
-        ds,
-        _parse_grid(args.grid),
-        repeats=args.repeats,
-        variance_threshold=args.variance_threshold,
-        fixed_dim=args.fixed_dim,
-        bandwidth_rule=args.bandwidth_rule,
-        neighbors=args.neighbors,
-    )
+    names = [d.strip() for d in args.detectors.split(",") if d.strip()]
+    reports = metrics.sweep(names, ds, _parse_grid(args.grid), args.repeats,
+                            **_given(args, DetectorConfig))
     if args.format == "json":
         text = metrics.reports_to_json(reports)
     else:
@@ -223,7 +207,7 @@ def _cmd_bench(args) -> int:
     rows = []
     for path in args.input:
         ds = _load(path, args, args.label_column)
-        cfg = DetectorConfig(contamination=args.contamination)
+        cfg = DetectorConfig(**_given(args, DetectorConfig))
         row: dict[str, object] = {"dataset": ds.name}
         for name in names:
             runs = [detect(name, ds.X, cfg) for _ in range(args.repeats)]

@@ -198,6 +198,11 @@ def load_csv(path, has_header: bool = True, label_column: str | None = None,
     read = _read_loadtxt(path, has_header)
     header, data = read if read is not None else _read_rows(path, has_header)
     width = data.shape[1]
+    if header is not None and len(header) != width:
+        raise ParseError(
+            f"{path}: the header has {len(header)} names but the data rows have "
+            f"{width} cells"
+        )
 
     label_idx: int | None = None
     if label_column is not None:

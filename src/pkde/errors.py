@@ -29,10 +29,12 @@ class DegenerateDuplicatesError(DegenerateDataError):
     """Too many exact duplicates for a neighborhood-based score."""
 
     def __init__(self, indices):
-        self.indices = list(indices)
+        self.indices = list(indices)  # all of them; the message shows 10
+        shown = ", ".join(map(str, self.indices[:10]))
+        more = ", ..." if len(self.indices) > 10 else ""
         super().__init__(
             f"local reachability density diverges: more than k duplicates "
-            f"at indices {self.indices}"
+            f"at {len(self.indices)} indices [{shown}{more}]"
         )
 
 

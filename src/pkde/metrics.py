@@ -3,30 +3,13 @@
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .datasets import csv_text
 from .detector import DetectorConfig, detect, k_from_contamination, top_k_select
 from .errors import InvalidInputError
-
-REPORT_FIELDS = (
-    "detector",
-    "dataset",
-    "contamination",
-    "precision",
-    "recall",
-    "f1",
-    "tp",
-    "fp",
-    "fn",
-    "tn",
-    "fit_time",
-    "score_time",
-)
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -40,9 +23,14 @@ class EvalReport:
     fp: int
     fn: int
     tn: int
-    # fit_time covers the whole scorer; score_time only the top-K cut.
+    # The detection's own timings, taken once at the largest contamination of
+    # the sweep grid: fit_time covers the whole scorer, score_time the top-K
+    # cut detect made there, not a re-cut at this report's contamination.
     fit_time: float
     score_time: float
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(EvalReport))
 
 
 def f1_score(predicted, truth) -> dict:
@@ -87,15 +75,7 @@ def default_grid() -> list[float]:
 
 
 def sweep(
-    detectors,
-    dataset,
-    contamination_grid,
-    repeats: int = 1,
-    *,
-    variance_threshold: float = 0.90,
-    fixed_dim: int | None = None,
-    bandwidth_rule: str = "scott",
-    neighbors: int = 10,
+    detectors, dataset, contamination_grid, repeats: int = 1, **options
 ) -> list[EvalReport]:
     """Evaluate each detector over a contamination grid against ground truth.
 
@@ -103,6 +83,10 @@ def sweep(
     contamination of the grid, and re-thresholded for every grid point: none
     of the detectors' rankings depend on the contamination, only the cut
     does, and PKDE's scores are exact for every cut up to the largest.
+
+    options are DetectorConfig's fields other than contamination, with its
+    defaults; any other keyword raises TypeError from DetectorConfig. The
+    reports of one detection all carry its fit_time and score_time.
     """
     if dataset.labels is None:
         raise InvalidInputError("sweep needs a labeled dataset")
@@ -117,13 +101,7 @@ def sweep(
     if not detectors:
         raise InvalidInputError("the detector list is empty")
 
-    base = DetectorConfig(
-        contamination=max(grid),
-        variance_threshold=variance_threshold,
-        fixed_dim=fixed_dim,
-        bandwidth_rule=bandwidth_rule,
-        neighbors=neighbors,
-    )
+    base = DetectorConfig(contamination=max(grid), **options)
     reports: list[EvalReport] = []
     for name in detectors:
         # Detect once per repeat; contamination only moves the threshold.
@@ -131,17 +109,14 @@ def sweep(
         for c in grid:
             k = k_from_contamination(c, dataset.n)
             for result in runs:
-                t1 = time.perf_counter()
-                predicted = top_k_select(result.scores, k)
-                t2 = time.perf_counter()
-                stats = f1_score(predicted, dataset.labels)
+                stats = f1_score(top_k_select(result.scores, k), dataset.labels)
                 reports.append(
                     EvalReport(
                         detector=name,
                         dataset=dataset.name,
                         contamination=c,
                         fit_time=result.fit_time,
-                        score_time=t2 - t1,
+                        score_time=result.score_time,
                         **stats,
                     )
                 )

@@ -266,6 +266,26 @@ class TestLofScore:
             lof_score(np.ones((6, 2)), 2)
         assert len(exc.value.indices) > 0
 
+    def test_duplicates_message_names_ten(self):
+        # The error keeps every index; its message gives the count and the
+        # first ten, so the CLI prints one short line.
+        rng = np.random.default_rng(56)
+        X = np.vstack([np.ones((3000, 2)), rng.standard_normal((20, 2))])
+        with pytest.raises(DegenerateDuplicatesError) as exc:
+            lof_score(X, 10)
+        assert exc.value.indices == list(range(3000))
+        assert str(exc.value) == (
+            "local reachability density diverges: more than k duplicates at 3000 "
+            "indices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]"
+        )
+        assert str(DegenerateDuplicatesError([4, 7])).endswith("at 2 indices [4, 7]")
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_k_out_of_range(self, k):
+        X = np.arange(20.0).reshape(10, 2)
+        with pytest.raises(InvalidInputError, match=rf"k={k} out of range \[2, 9\]"):
+            lof_score(X, k)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(47)
         X = rng.standard_normal((25, 3))
@@ -333,6 +353,10 @@ class TestMahalanobisScore:
             np.sort(np.argsort(-scores, kind="stable")[:10]),
             np.flatnonzero(planted.labels),
         )
+
+    def test_one_row_rejected(self):
+        with pytest.raises(InvalidInputError, match="need at least 2 rows"):
+            mahalanobis_score([[1.0, 2.0]])
 
     def test_constant_data_regularized_not_raising(self):
         scores = mahalanobis_score(np.ones((5, 2)))

@@ -1,13 +1,15 @@
+import argparse
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from pkde import detector, kde, linalg
+from pkde import cli, detector, kde, linalg, metrics
 from pkde.cli import run
-from pkde.datasets import load_csv, write_csv
+from pkde.datasets import SynthSpec, gen_synthetic, load_csv, write_csv
+from pkde.detector import DetectorConfig, detect
 
 
 def synth_args(path, **overrides):
@@ -38,6 +40,45 @@ def scaled_planted(tmp_path, scale):
 def nan_scorer(A, p, config):
     """A stand-in scorer whose every score is NaN."""
     return np.full(A.shape[0], np.nan), 1
+
+
+def subcommand_dests(name):
+    """The dest of every flag of one subcommand."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[name]._actions}
+
+
+class TestOptionsAreDataclassFields:
+    """Each option's name and default is stated once, by its dataclass."""
+
+    def test_synth_flags_are_synth_spec_fields(self):
+        assert {f.name for f in fields(SynthSpec)} <= subcommand_dests("synth")
+
+    @pytest.mark.parametrize("command", ["detect", "sweep"])
+    def test_detector_flags_are_config_fields(self, command):
+        names = {f.name for f in fields(DetectorConfig)} - {"contamination"}
+        assert names <= subcommand_dests(command)
+
+    def test_synth_defaults_are_synth_spec_defaults(self, tmp_path):
+        out, expected = tmp_path / "out.csv", tmp_path / "expected.csv"
+        assert run(["synth", "-o", str(out)]) == 0
+        write_csv(gen_synthetic(SynthSpec("gaussian-planted", n_normal=100)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("name", detector.DETECTOR_IDS)
+    def test_detect_defaults_are_config_defaults(self, tmp_path, name):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data, n=190, outliers=10, dim=4)) == 0
+        out = tmp_path / "scores.csv"
+        argv = ["detect", "-i", str(data), "--label-column", "label",
+                "--detector", name, "--contamination", "0.07", "-o", str(out)]
+        assert run(argv) == 0
+        with out.open() as fh:
+            labels = [int(row["label"]) for row in csv.DictReader(fh)]
+        X = load_csv(data, label_column="label").X
+        expected = detect(name, X, DetectorConfig(contamination=0.07)).labels
+        assert labels == expected.tolist()
 
 
 class TestSynth:
@@ -267,6 +308,31 @@ class TestDetect:
         assert run(argv + ["knn-dist"]) == 1
         assert "need at least 2 rows, got 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, argv, names, cells",
+        [
+            # More names than cells: the label column is past the data.
+            ("a,b,label\n1,2\n3,4\n5,6\n", ["--label-column", "label"], 3, 2),
+            # A quoted name with a comma: "c" would select the second cell.
+            ('"a,b",c\n1,2,0\n3,4,1\n5,6,0\n7,8,0\n',
+             ["--label-column", "c", "--detector", "mahalanobis"], 2, 3),
+        ],
+        ids=["more-names", "quoted-name"],
+    )
+    def test_header_width_mismatch_exit_2_no_output(self, tmp_path, capsys, text, argv,
+                                                    names, cells):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        out = tmp_path / "scores.csv"
+        rc = run(["detect", "-i", str(data), "--contamination", "0.3", *argv,
+                  "-o", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"data error: {data}: the header has {names} names but the data rows "
+            f"have {cells} cells\n"
+        )
+
     def test_unknown_flag_exit_1(self):
         assert run(["detect", "--frobnicate"]) == 1
 
@@ -386,6 +452,28 @@ class TestSweep:
         assert rc == 1
         assert "contamination grid is empty" in capsys.readouterr().err
 
+    def test_json_matches_csv(self, tmp_path):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        argv = ["sweep", "-i", str(data), "--detectors", "pkde,lof",
+                "--grid", "0.05,0.1"]
+        assert run(argv + ["-o", str(tmp_path / "r.csv")]) == 0
+        assert run(argv + ["--format", "json", "-o", str(tmp_path / "r.json")]) == 0
+        with (tmp_path / "r.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert [tuple(r) for r in doc] == [metrics.REPORT_FIELDS] * 4
+        timings = {"fit_time", "score_time"}  # differ between the two runs
+        assert [{k: str(v) for k, v in r.items() if k not in timings} for r in doc] == [
+            {k: v for k, v in r.items() if k not in timings} for r in rows
+        ]
+
+    def test_bad_grid_value_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        assert run(["sweep", "-i", str(data), "--grid", "0.05,x"]) == 1
+        assert capsys.readouterr().err == "error: bad --grid value: '0.05,x'\n"
+
     def test_unlabeled_is_usage_error(self, tmp_path):
         data = tmp_path / "plain.csv"
         data.write_text("a,b\n1,2\n3,4\n5,6\n")
@@ -412,6 +500,21 @@ class TestBench:
         assert rows[0] == ["dataset", "pkde", "knn-dist"]
         assert len(rows) == 2
         assert float(rows[1][1]) > 0.0
+
+    def test_json_matches_csv(self, tmp_path):
+        data, other = tmp_path / "d.csv", tmp_path / "e.csv"
+        assert run(synth_args(data)) == 0
+        assert run(synth_args(other, seed=8)) == 0
+        argv = ["bench", "-i", str(data), "-i", str(other), "--label-column", "label",
+                "--detectors", "mahalanobis,knn-dist", "--repeats", "1"]
+        assert run(argv + ["-o", str(tmp_path / "t.csv")]) == 0
+        assert run(argv + ["--format", "json", "-o", str(tmp_path / "t.json")]) == 0
+        with (tmp_path / "t.csv").open() as fh:
+            rows = list(csv.reader(fh))
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert [list(r) for r in doc] == [rows[0]] * 2
+        assert [r["dataset"] for r in doc] == [r[0] for r in rows[1:]] == ["d", "e"]
+        assert all(r[name] > 0.0 for r in doc for name in rows[0][1:])
 
     def test_zero_repeats_exit_1(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

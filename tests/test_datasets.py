@@ -80,6 +80,22 @@ class TestGenSynthetic:
         with pytest.raises(InvalidInputError):
             SynthSpec("gaussian-planted", n_normal=5, n_outlier=5)
 
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("gaussian", "n_normal", 0, "n_normal and dim must be positive"),
+            ("gaussian", "dim", 0, "n_normal and dim must be positive"),
+            ("gaussian-planted", "n_outlier", -1, r"n_outlier must be in \[0, n_normal\)"),
+            ("gaussian-cov", "rho", 1.0, r"rho must be in \[0, 1\), got 1.0"),
+            ("gaussian-cov", "rho", -0.1, r"rho must be in \[0, 1\), got -0.1"),
+            ("gaussian-planted", "distance", 0.0, "outlier distance must be positive"),
+            ("dual-density", "variance_ratio", 0.0, "variance_ratio must be positive"),
+        ],
+    )
+    def test_bad_field(self, kind, field, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            SynthSpec(kind, **{"n_normal": 10, field: value})
+
 
 class TestLoadCsv:
     def test_labeled_fixture(self, tmp_path):
@@ -193,6 +209,21 @@ class TestLoadCsv:
         path.write_text(LABELED_CSV)
         with pytest.raises(InvalidInputError):
             load_csv(path, label_column="target")
+
+    @pytest.mark.parametrize("header", ["a,b,c", '"a,b"'])
+    @pytest.mark.parametrize("first_row", ["1,2", '"1",2'])
+    def test_header_width_differs_from_rows(self, tmp_path, header, first_row):
+        # A plain body goes through np.loadtxt; a quoted cell sends the file
+        # to the csv module. Both must compare the header with the rows.
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n{first_row}\n3,4\n")
+        assert (datasets._read_loadtxt(path, True) is None) == ('"' in first_row)
+        names = 1 if '"' in header else 3
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert str(exc.value) == (
+            f"{path}: the header has {names} names but the data rows have 2 cells"
+        )
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -68,6 +68,10 @@ class TestTopKSelect:
         with pytest.raises(InvalidInputError):
             top_k_select([1.0, 2.0, 3.0], k)
 
+    def test_scores_must_be_1d(self):
+        with pytest.raises(InvalidInputError, match="scores must be a 1-D vector"):
+            top_k_select([[1.0, 2.0], [3.0, 4.0]], 1)
+
     @given(
         st.lists(
             st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]),
@@ -385,3 +389,8 @@ class TestDetectorConfig:
     def test_bad_rule(self):
         with pytest.raises(InvalidInputError):
             DetectorConfig(contamination=0.1, bandwidth_rule="silverman")
+
+    @pytest.mark.parametrize("field", ["fixed_dim", "neighbors"])
+    def test_count_below_one(self, field):
+        with pytest.raises(InvalidInputError, match=f"{field} must be >= 1, got 0"):
+            DetectorConfig(contamination=0.1, **{field: 0})

@@ -87,6 +87,17 @@ class TestScottBandwidth:
         with pytest.raises(InvalidInputError):
             scott_bandwidth(np.eye(3), 1)
 
+    @pytest.mark.parametrize(
+        "S, rule, message",
+        [
+            (np.ones((2, 3)), "scott", r"covariance must be square, got \(2, 3\)"),
+            (np.eye(2), "silverman", "unknown bandwidth rule 'silverman'"),
+        ],
+    )
+    def test_bad_input_rejected(self, S, rule, message):
+        with pytest.raises(InvalidInputError, match=message):
+            scott_bandwidth(S, 10, rule=rule)
+
     def test_diag_4_1_n32(self):
         bw = scott_bandwidth(np.diag([4.0, 1.0]), 32)
         factor = 32.0 ** (-1.0 / 6.0)
@@ -213,7 +224,25 @@ class TestDensity:
             density(model, [0.0, 1.0])
 
 
+class TestFitKde:
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([[0.0, 1.0]], "KDE needs at least 2 samples, got 1"),
+            ([[0.0], [1.0]], "bandwidth is 2-dimensional, samples are 1"),
+        ],
+    )
+    def test_bad_samples_rejected(self, samples, message):
+        with pytest.raises(InvalidInputError, match=message):
+            fit_kde(samples, make_bandwidth(np.eye(2)))
+
+
 class TestLogDensityAll:
+    def test_query_width_must_match(self):
+        model = fit_kde([[0.0, 0.0], [1.0, 1.0]], make_bandwidth(np.eye(2)))
+        with pytest.raises(InvalidInputError, match="queries have 3 columns"):
+            log_density_all(model, [[0.0, 0.0, 0.0]])
+
     def test_agrees_with_density(self):
         rng = np.random.default_rng(33)
         X = rng.standard_normal((12, 2))

@@ -17,6 +17,23 @@ from pkde.linalg import (
 )
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize(
+        "convert, value, message",
+        [
+            (linalg.as_matrix, [1.0, 2.0], "X must be 2-dimensional, got ndim=1"),
+            (linalg.as_matrix, np.empty((3, 0)), r"X is empty \(shape \(3, 0\)\)"),
+            (linalg.as_matrix, [[1.0, np.nan]], "X contains NaN or Inf entries"),
+            (linalg.as_vector, [[1.0]], "X must be a non-empty 1-D vector"),
+            (linalg.as_vector, [], "X must be a non-empty 1-D vector"),
+            (linalg.as_vector, [np.inf], "X contains NaN or Inf entries"),
+        ],
+    )
+    def test_bad_input_rejected(self, convert, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            convert(value, "X")
+
+
 class TestCenterColumns:
     def test_symmetric_1d(self):
         centered, mean = center_columns([[1.0], [3.0]])

@@ -108,6 +108,41 @@ class TestSweep:
         with pytest.raises(InvalidInputError, match="contamination grid is empty"):
             sweep(["pkde"], planted_dataset, [])
 
+    def test_zero_repeats_rejected(self, planted_dataset):
+        with pytest.raises(InvalidInputError, match="repeats must be >= 1"):
+            sweep(["pkde"], planted_dataset, [0.05], repeats=0)
+
+    def test_options_are_detector_config_fields(self, planted_dataset, monkeypatch):
+        configs = []
+        real = metrics.detect
+
+        def recorded(name, X, config):
+            configs.append(config)
+            return real(name, X, config)
+
+        monkeypatch.setattr(metrics, "detect", recorded)
+        sweep(["pkde"], planted_dataset, [0.05, 0.1], variance_threshold=0.8,
+              fixed_dim=1, bandwidth_rule="scott-squared", neighbors=4)
+        assert configs == [DetectorConfig(0.1, 0.8, 1, "scott-squared", 4)]
+        with pytest.raises(TypeError, match="variance"):
+            sweep(["pkde"], planted_dataset, [0.05], variance=0.8)
+
+    def test_timings_are_the_detections(self, planted_dataset, monkeypatch):
+        # One detection per repeat, at the largest contamination; every report
+        # of it carries its fit_time and score_time.
+        results = []
+        real = metrics.detect
+
+        def recorded(name, X, config):
+            results.append(real(name, X, config))
+            return results[-1]
+
+        monkeypatch.setattr(metrics, "detect", recorded)
+        reports = sweep(["lof"], planted_dataset, [0.05, 0.1, 0.2], repeats=2)
+        assert [(r.fit_time, r.score_time) for r in reports] == [
+            (res.fit_time, res.score_time) for _ in range(3) for res in results
+        ]
+
     def test_empty_detector_list_rejected(self, planted_dataset):
         with pytest.raises(InvalidInputError, match="detector list is empty"):
             sweep([], planted_dataset, [0.05])
@@ -152,6 +187,13 @@ class TestSweep:
 class TestSerialization:
     def _reports(self, planted):
         return sweep(["pkde", "lof"], planted, [0.05, 0.1])
+
+    def test_columns_pinned(self):
+        # The report columns are EvalReport's fields, in this order.
+        assert REPORT_FIELDS == (
+            "detector", "dataset", "contamination", "precision", "recall", "f1",
+            "tp", "fp", "fn", "tn", "fit_time", "score_time",
+        )
 
     def test_csv_shape(self, planted_dataset):
         text = reports_to_csv(self._reports(planted_dataset))

@@ -3,7 +3,8 @@ sweep contamination levels, and benchmark timings.
 
 Exit codes: 0 success, 1 usage error, 2 data error (out of memory
 included), 3 numerical failure. Outputs are fully computed before any file
-is written, so a failing run never leaves a partial output behind.
+is written, so a failing run never leaves a partial output behind; synth
+streams its CSV instead, and removes it if a write fails.
 """
 
 from __future__ import annotations

@@ -255,15 +255,21 @@ def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset as CSV, rows from X.tolist(); labels, when present, go
     to a final column named "label". Each row is its cells' reprs joined by
     commas, the bytes csv_text would write for the same header and rows.
-    Rows go out _WRITE_ROWS at a time, so no copy of the whole file is held."""
+    Rows go out _WRITE_ROWS at a time, so no copy of the whole file is held.
+    If a write fails once the file is open, the partial file is removed."""
     header = [f"f{j}" for j in range(dataset.d)]
     if dataset.labels is not None:
         header.append("label")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for s in range(0, dataset.n, _WRITE_ROWS):
-            rows = dataset.X[s : s + _WRITE_ROWS].tolist()
-            if dataset.labels is not None:
-                labels = dataset.labels[s : s + _WRITE_ROWS]
-                rows = [row + [int(label)] for row, label in zip(rows, labels)]
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+    fh = open(path, "w", newline="", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for s in range(0, dataset.n, _WRITE_ROWS):
+                rows = dataset.X[s : s + _WRITE_ROWS].tolist()
+                if dataset.labels is not None:
+                    labels = dataset.labels[s : s + _WRITE_ROWS]
+                    rows = [row + [int(label)] for row, label in zip(rows, labels)]
+                fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
+    except BaseException:
+        os.remove(path)
+        raise

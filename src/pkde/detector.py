@@ -133,6 +133,8 @@ def _lof_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
 
 
 def _mahalanobis_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
+    if A.shape[0] < 2:
+        raise InvalidInputError(f"need at least 2 rows, got {A.shape[0]}")
     return baselines.mahalanobis_score(A), A.shape[1]
 
 

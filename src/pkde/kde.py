@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBandwidthError
-from .linalg import as_matrix, as_vector, lift, lowest_k, rank_of, row_blocks
+from .linalg import _one_blas_thread, as_matrix, as_vector, lift, lowest_k, rank_of, row_blocks
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -28,11 +28,8 @@ _UNDERFLOW_SUM = 1e-280
 BANDWIDTH_RULES = ("scott", "scott-squared")
 
 # log_density_loo_top_k bounds each row by its kernel sum over leaves of at
-# most this many rows: its own and the one on each side. Its workers take
-# blocks of _LEAF_BLOCK leaves: one leaf a block spends about a fifth of the
-# bound pass handing blocks between threads.
+# most this many rows: its own and the one on each side.
 _LEAF_ROWS = 256
-_LEAF_BLOCK = 8
 
 # _log_kernel_sum works in tiles of at most this many rows by this many
 # columns, 1 MB of float64s per worker: each product is exponentiated and
@@ -332,12 +329,13 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
     pair of neighbouring leaves is summed once: leaf j's rows make one
     product with leaves j and j+1, in a buffer of 2 * (largest leaf)^2
     floats, whose row sums go to leaf j's rows and whose column sums over
-    leaf j+1 go to leaf j+1's rows. Leaves go in row_blocks blocks of
-    _LEAF_BLOCK; each product depends only on its two leaves, and a row
-    adds at most two of them, so a bound depends on neither the block
-    height, the worker count nor the tile shape. A sum below _UNDERFLOW_SUM
-    counts as 0. The fallback counts each row's window of three leaves
-    against the n(n-1)/2 pairs of the full sum.
+    leaf j+1 go to leaf j+1's rows; both sums are products with a ones
+    vector. The leaves go in order on the calling thread, with OpenBLAS
+    held to one thread. Each product depends only on its two leaves, and a
+    row adds at most two of them, so a bound depends on neither the worker
+    count nor the tile shape. A sum below _UNDERFLOW_SUM counts as 0. The
+    fallback counts each row's window of three leaves against the n(n-1)/2
+    pairs of the full sum.
     """
     model = wh.model
     n, m = model.n, model.d
@@ -349,23 +347,16 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
     if int(sizes @ (hi - lo)) >= n * (n - 1) // 2:
         return None
 
-    def pair_sums(s, e, buf):
-        # The partial sums of leaves s to e in leaf order; leaf e gets only
-        # the column sums of leaf e - 1.
-        base = starts[s]
-        out = np.zeros(starts[min(e + 1, leaves.size)] - base)
-        for j in range(s, e):
+    sums = np.zeros(n)  # in leaf order
+    buf = np.empty(2 * int(sizes.max()) ** 2)
+    ones = np.ones(2 * int(sizes.max()))
+    with _one_blas_thread():
+        for j in leaves:
             a, b, c = starts[j], starts[j + 1], starts[min(j + 2, leaves.size)]
             C = wh.B[order[a:c]]  # leaves j and j + 1
             k = _kernels(C[: b - a][:, wh.swap], C, buf, np.arange(b - a))
-            out[a - base : b - base] += k.sum(axis=1)
-            out[b - base : c - base] += k[:, b - a :].sum(axis=0)
-        return out
-
-    sums = np.zeros(n)  # in leaf order
-    pair = 2 * int(sizes.max()) ** 2
-    for s, e, block in row_blocks(leaves.size, _LEAF_BLOCK, pair, pair_sums):
-        sums[starts[s] : starts[s] + block.size] += block
+            sums[a:b] += k @ ones[: c - a]
+            sums[b:c] += ones[: b - a] @ k[:, b - a :]
     sums[~(sums >= _UNDERFLOW_SUM)] = 0.0
     with np.errstate(divide="ignore"):
         np.log(sums, out=sums)
@@ -401,17 +392,16 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
         raise InvalidInputError(f"k={k} out of range [1, {n}]")
     wh = _Whitened(model)
     out = None if 4 * k > n else _log_local_bounds(wh)  # replaced where summed
-    if out is None:
-        return _log_kernel_sum(wh, None), np.ones(n, dtype=bool)
-    exact = np.zeros(n, dtype=bool)
-    first = lowest_k(out, k)
-    exact[first] = True
-    out[first] = _log_kernel_sum(wh, None, rows=first)
-    t = float(out[first].max())
-    t += 1e-12 * max(1.0, abs(t), abs(offset))
-    second = np.flatnonzero((out <= t) & ~exact)
-    if 4 * (k + second.size) > n:
-        return _log_kernel_sum(wh, None), np.ones(n, dtype=bool)
-    out[second] = _log_kernel_sum(wh, None, rows=second)
-    exact[second] = True
-    return out, exact
+    if out is not None:
+        exact = np.zeros(n, dtype=bool)
+        first = lowest_k(out, k)
+        exact[first] = True
+        out[first] = _log_kernel_sum(wh, None, rows=first)
+        t = float(out[first].max())
+        t += 1e-12 * max(1.0, abs(t), abs(offset))
+        second = np.flatnonzero((out <= t) & ~exact)
+        if 4 * (k + second.size) <= n:
+            out[second] = _log_kernel_sum(wh, None, rows=second)
+            exact[second] = True
+            return out, exact
+    return _log_kernel_sum(wh, None), np.ones(n, dtype=bool)

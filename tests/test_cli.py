@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from pkde import cli, detector, kde, linalg, metrics
+from pkde import cli, datasets, detector, kde, linalg, metrics
 from pkde.cli import run
 from pkde.datasets import SynthSpec, gen_synthetic, load_csv, write_csv
 from pkde.detector import DetectorConfig, detect
@@ -95,6 +95,31 @@ class TestSynth:
         assert run(synth_args(a)) == 0
         assert run(synth_args(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # The third write (header, then 1024-row chunks) runs out of space.
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(datasets, "open", lambda *a, **kw: FullDisk(open(*a, **kw)),
+                            raising=False)
+        out = tmp_path / "d.csv"
+        assert run(synth_args(out, n=5000, dim=4)) == 2
+        assert not out.exists()
+        assert "data error: [Errno 28] No space left on device" in capsys.readouterr().err
 
     def test_bad_spec_is_usage_error(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -248,6 +248,14 @@ class TestDetect:
         with pytest.raises(InvalidInputError):
             detect("bogus", np.eye(3), DetectorConfig(contamination=0.1))
 
+    @pytest.mark.parametrize("name", DETECTOR_IDS)
+    def test_too_few_rows_message(self, name):
+        fewest = {"pkde": 3, "lof": 3, "knn-dist": 2, "mahalanobis": 2}[name]
+        X = np.arange(2.0 * (fewest - 1)).reshape(fewest - 1, 2)
+        with pytest.raises(InvalidInputError,
+                           match=f"^need at least {fewest} rows, got {fewest - 1}$"):
+            detect(name, X, DetectorConfig(contamination=0.5))
+
     def test_non_finite_scores_raise(self, monkeypatch):
         nan_scorer = lambda A, p, config: (np.full(A.shape[0], np.nan), 1)
         monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)

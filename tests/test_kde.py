@@ -518,7 +518,7 @@ class TestLogDensityLooTopK:
         # Leaves of 1 to 64 rows, or the default 256, so that small inputs
         # have many leaves, lone-row leaves among them. Duplicated rows and a
         # coordinate on a coarse grid put equal values on both sides of a
-        # split. Every block height and worker count gives the same bits.
+        # split. Every worker count gives the same bits.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         X = rng.standard_normal((n, 3))
         X[:, 0] = np.round(X[:, 0] * 2.0) / 2.0
@@ -530,11 +530,9 @@ class TestLogDensityLooTopK:
             mp.setattr(kde, "_LEAF_ROWS", leaf_rows)
             wh = kde._Whitened(model)
             expected = window_bounds(wh, *kde._leaf_order(wh.B[:, :3]))
-            for block in (1, 8):
-                mp.setattr(kde, "_LEAF_BLOCK", block)
-                for workers in (1, 2):
-                    mp.setattr(linalg, "_worker_count", lambda w=workers: w)
-                    runs.append(kde._log_local_bounds(wh))
+            for workers in (1, 2):
+                mp.setattr(linalg, "_worker_count", lambda w=workers: w)
+                runs.append(kde._log_local_bounds(wh))
         if expected is None:
             assert all(run is None for run in runs)
             return
@@ -657,8 +655,8 @@ class TestLogDensityLooTopK:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory_within_block_budget(self, monkeypatch, workers):
-        # The bound pass holds one pair of leaves per worker, at most
-        # 2 * _LEAF_ROWS^2 floats (1 MB); both rounds hold one tile per
+        # The bound pass holds one pair of leaves on the calling thread, at
+        # most 2 * _LEAF_ROWS^2 floats (1 MB); both rounds hold one tile per
         # worker. The three never overlap, and the lifted samples, the leaf
         # order and the sums stay within ROW_FLOATS a row.
         monkeypatch.setattr(linalg, "_worker_count", lambda: workers)

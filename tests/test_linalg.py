@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from pkde import linalg, pca
+from pkde import kde, linalg, pca
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.detector import DetectorConfig, detect
 from pkde.errors import DataError, InvalidInputError, NumericalError
@@ -298,6 +298,29 @@ class TestBlasThreadPin:
         X = np.random.default_rng(14).standard_normal((200, 4))
         detect("pkde", X, DetectorConfig(contamination=0.05))
         assert inside == [1, 1]
+
+    def test_bound_pass_pins_itself(self, monkeypatch):
+        # Called directly, outside detect's pin, the certified top-K's bound
+        # pass runs its leaf-pair products on the calling thread with
+        # OpenBLAS held to one thread; the old count comes back after.
+        # Two threads outside, so that a missing pin shows on one core too.
+        get = blas_threads()
+        _, set_, _ = linalg._blas_thread_calls()
+        X = gen_synthetic(SynthSpec("gaussian-planted", n_normal=1900, n_outlier=100,
+                                    dim=3, seed=12)).X
+        model = kde.fit_kde(X, kde.scott_bandwidth(np.cov(X.T), X.shape[0]))
+        bounds = spy_counts(monkeypatch, kde, "_log_local_bounds", get)
+        inside = spy_counts(monkeypatch, kde, "_kernels", get)
+        before = get()
+        set_(2)
+        try:
+            _, exact = kde.log_density_loo_top_k(model, 100)
+            after = get()
+        finally:
+            set_(before)
+        assert not exact.all()
+        assert (bounds, after) == ([2], 2)
+        assert inside and set(inside) == {1}
 
     def test_worker_count_same_inside_pin(self):
         # detect holds the pin around the scorer; the block loops inside it

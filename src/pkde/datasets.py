@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
-from .linalg import as_matrix
+from .linalg import as_matrix, check_int
 
 SYNTH_KINDS = ("gaussian", "gaussian-cov", "dual-density", "gaussian-planted")
 
@@ -64,8 +64,12 @@ class SynthSpec:
             raise InvalidInputError(
                 f"unknown kind {self.kind!r}; known: {', '.join(SYNTH_KINDS)}"
             )
+        for name in ("n_normal", "n_outlier", "dim", "seed"):
+            check_int(getattr(self, name), name)
         if self.n_normal < 1 or self.dim < 1:
             raise InvalidInputError("n_normal and dim must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.n_outlier < 0 or self.n_outlier >= self.n_normal:
             raise InvalidInputError("n_outlier must be in [0, n_normal)")
         if self.kind != "gaussian-planted" and self.n_outlier != 0:
@@ -81,9 +85,14 @@ class SynthSpec:
 
 
 def gen_synthetic(spec: SynthSpec) -> Dataset:
-    """Generate the dataset described by spec; same spec -> identical bytes."""
+    """Generate the dataset described by spec; same spec -> identical bytes.
+    A shape larger than numpy can address raises MemoryError, as one it
+    cannot allocate does."""
     rng = np.random.default_rng(spec.seed)
     n, d = spec.n_normal, spec.dim
+    rows = n + spec.n_outlier
+    if int(rows) * int(d) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a {rows} x {d} float64 array is larger than numpy can address")
 
     if spec.kind == "gaussian":
         X = rng.standard_normal((n, d))

@@ -18,7 +18,7 @@ import numpy as np
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
 from .kde import BANDWIDTH_RULES, fit_kde, log_density_loo_top_k, scott_bandwidth
-from .linalg import _one_blas_thread, as_matrix, lowest_k, pow2_scale
+from .linalg import _one_blas_thread, as_matrix, check_int, lowest_k, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
 
@@ -39,13 +39,16 @@ class DetectorConfig:
             raise InvalidInputError(
                 f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
             )
-        if self.fixed_dim is not None and self.fixed_dim < 1:
-            raise InvalidInputError(f"fixed_dim must be >= 1, got {self.fixed_dim}")
+        if self.fixed_dim is not None:
+            check_int(self.fixed_dim, "fixed_dim")
+            if self.fixed_dim < 1:
+                raise InvalidInputError(f"fixed_dim must be >= 1, got {self.fixed_dim}")
         if self.bandwidth_rule not in BANDWIDTH_RULES:
             raise InvalidInputError(
                 f"bandwidth_rule must be {' or '.join(map(repr, BANDWIDTH_RULES))}, "
                 f"got {self.bandwidth_rule!r}"
             )
+        check_int(self.neighbors, "neighbors")
         if self.neighbors < 1:
             raise InvalidInputError(f"neighbors must be >= 1, got {self.neighbors}")
 

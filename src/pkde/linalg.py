@@ -46,9 +46,6 @@ _PIN_LOCK = threading.RLock()
 # float64s (8 MB) between them.
 _BLOCK_FLOATS = 1_000_000
 
-# What a block returns in place of its result when another block has raised.
-_SKIPPED = object()
-
 
 @functools.cache
 def _blas_thread_calls():
@@ -122,9 +119,9 @@ def row_blocks(n_rows: int, rows: int, buf_floats: int, work):
     and the result must not refer to it. Each block runs in a copy of the
     caller's contextvars context, which carries np.errstate. At most
     `workers` blocks run ahead of the consumer. A lone block or a lone
-    worker runs inline on the calling thread. Once a block raises, no block
-    that has not started runs, and the error propagates from here after the
-    running blocks end.
+    worker runs inline on the calling thread. Once the consumer sees a
+    failed block, no new block starts, and the first failed block's error
+    propagates from here after the running blocks end.
     """
     workers = _worker_count()
     with _one_blas_thread():
@@ -140,34 +137,20 @@ def row_blocks(n_rows: int, rows: int, buf_floats: int, work):
         # 6 ms to every `import pkde`, and only a pooled loop needs it.
         from concurrent.futures import ThreadPoolExecutor
 
-        errors = []
-
-        def run(i, s, e):
-            if errors:
-                return _SKIPPED
-            try:
-                # Block i - workers, the last one to use this buffer, was
-                # taken before block i was submitted.
-                return work(s, e, bufs[i % workers])
-            except BaseException as exc:
-                errors.append(exc)
-                raise
-
-        def take(s, e, future):
-            result = future.result()
-            if result is _SKIPPED:
-                raise errors[0]
-            return s, e, result
-
         with ThreadPoolExecutor(workers) as pool:
             ahead = collections.deque()
             for i, (s, e) in enumerate(blocks):
+                if any(f.done() and f.exception() is not None for _, _, f in ahead):
+                    break
+                # Block i - workers, the last one to use this buffer, was
+                # taken before block i was submitted.
                 ctx = contextvars.copy_context()
-                ahead.append((s, e, pool.submit(ctx.run, run, i, s, e)))
+                ahead.append((s, e, pool.submit(ctx.run, work, s, e, bufs[i % workers])))
                 if len(ahead) == workers:
-                    yield take(*ahead.popleft())
-            while ahead:
-                yield take(*ahead.popleft())
+                    s, e, f = ahead.popleft()
+                    yield s, e, f.result()
+            for s, e, f in ahead:
+                yield s, e, f.result()
 
 
 def lift(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,6 +199,12 @@ def as_matrix(X, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} contains NaN or Inf entries")
     return A
+
+
+def check_int(value, name: str) -> None:
+    """Reject a value that is not an integer; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

@@ -121,6 +121,21 @@ class TestSynth:
         assert not out.exists()
         assert "data error: [Errno 28] No space left on device" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, code, prefix",
+        [
+            ({"seed": -1}, 1, "error: seed must be >= 0, got -1"),
+            ({"dim": 10**20}, 2, "data error: "),
+            ({"n": 10**10, "dim": 10**10}, 2, "data error: "),
+        ],
+    )
+    def test_unbuildable_spec_is_one_line(self, tmp_path, capsys, overrides, code, prefix):
+        out = tmp_path / "d.csv"
+        assert run(synth_args(out, **overrides)) == code
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+
     def test_bad_spec_is_usage_error(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = run(synth_args(out, kind="gaussian", outliers="5"))

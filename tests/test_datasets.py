@@ -85,6 +85,11 @@ class TestGenSynthetic:
         [
             ("gaussian", "n_normal", 0, "n_normal and dim must be positive"),
             ("gaussian", "dim", 0, "n_normal and dim must be positive"),
+            ("gaussian", "n_normal", 10.0, "n_normal must be an integer, got 10.0"),
+            ("gaussian-planted", "n_outlier", 1.5, "n_outlier must be an integer, got 1.5"),
+            ("gaussian", "dim", True, "dim must be an integer, got True"),
+            ("gaussian", "seed", "7", "seed must be an integer, got '7'"),
+            ("gaussian", "seed", -1, "seed must be >= 0, got -1"),
             ("gaussian-planted", "n_outlier", -1, r"n_outlier must be in \[0, n_normal\)"),
             ("gaussian-cov", "rho", 1.0, r"rho must be in \[0, 1\), got 1.0"),
             ("gaussian-cov", "rho", -0.1, r"rho must be in \[0, 1\), got -0.1"),

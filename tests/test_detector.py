@@ -402,3 +402,9 @@ class TestDetectorConfig:
     def test_count_below_one(self, field):
         with pytest.raises(InvalidInputError, match=f"{field} must be >= 1, got 0"):
             DetectorConfig(contamination=0.1, **{field: 0})
+
+    @pytest.mark.parametrize("field", ["fixed_dim", "neighbors"])
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_count_not_an_integer(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got {value}"):
+            DetectorConfig(contamination=0.1, **{field: value})

@@ -423,6 +423,23 @@ class TestRowBlocks:
         assert done == [0]
         assert sorted(started) == [0, 2]
 
+    def test_closed_early_starts_no_more_blocks(self, two_workers):
+        get = blas_threads()
+        before, threads = get(), threading.active_count()
+        started = []
+
+        def work(s, e, buf):
+            started.append(s)
+            time.sleep(0.01)
+            return s
+
+        blocks = linalg.row_blocks(20, 2, 4, work)
+        assert next(blocks) == (0, 2, 0)
+        blocks.close()
+        assert sorted(started) == [0, 2]  # the two in flight at the first yield
+        assert get() == before
+        assert threading.active_count() == threads
+
     def test_stress_more_workers_than_cores(self, monkeypatch):
         # Eight workers on 400 one-row blocks with a short switch interval:
         # a buffer shared by two running blocks, or a block out of order,
@@ -442,3 +459,27 @@ class TestRowBlocks:
             sys.setswitchinterval(interval)
         assert [(s, e) for s, e, _ in out] == [(s, s + 1) for s in range(400)]
         assert all(own for _, _, own in out)
+
+    def test_stress_one_block_fails(self, monkeypatch):
+        # As above, with block 200 raising: its error comes out, and no block
+        # more than `workers` past it starts.
+        monkeypatch.setattr(linalg, "_worker_count", lambda: 8)
+        started = []
+
+        def work(s, e, buf):
+            started.append(s)
+            buf[:] = s
+            time.sleep(0)
+            if s == 200:
+                raise ValueError("block 200")
+            return bool(np.all(buf == s))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(ValueError, match="block 200"):
+                for _, _, own in linalg.row_blocks(400, 1, 64, work):
+                    assert own
+        finally:
+            sys.setswitchinterval(interval)
+        assert 200 in started and max(started) <= 200 + 8

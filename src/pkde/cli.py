@@ -17,7 +17,7 @@ from dataclasses import fields
 
 from . import metrics
 from .datasets import (
-    SYNTH_KINDS, SynthSpec, csv_text, gen_synthetic, load_csv, write_csv,
+    SYNTH_KINDS, SynthSpec, csv_text, gen_synthetic, load_csv, remove_partial, write_csv,
 )
 from .detector import DETECTOR_IDS, DetectorConfig, detect
 from .errors import DataError, InvalidInputError, NumericalError
@@ -113,7 +113,7 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
                 fh.write(text)
     except BaseException:
         for path in written:
-            os.remove(path)
+            remove_partial(path)
         raise
     sys.stdout.write("".join(text for text, path in outputs if path is None))
 

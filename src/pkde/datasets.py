@@ -66,6 +66,10 @@ class SynthSpec:
             )
         for name in ("n_normal", "n_outlier", "dim", "seed"):
             check_int(getattr(self, name), name)
+        for name in ("rho", "distance", "separation", "variance_ratio"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value}")
         if self.n_normal < 1 or self.dim < 1:
             raise InvalidInputError("n_normal and dim must be positive")
         if self.seed < 0:
@@ -149,8 +153,11 @@ def _read_rows(path, has_header: bool) -> tuple[list[str] | None, np.ndarray]:
     stripped, blank rows dropped. The cells are parsed in one numpy call;
     only if that fails are the rows walked in order to name the first ragged
     row or bad cell."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [[cell.strip() for cell in row] for row in csv.reader(fh)]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     rows = [row for row in rows if any(row)]
     if not rows:
         raise InvalidInputError(f"{path}: file is empty")
@@ -280,5 +287,12 @@ def write_csv(dataset: Dataset, path) -> None:
                     rows = [row + [int(label)] for row, label in zip(rows, labels)]
                 fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
     except BaseException:
-        os.remove(path)
+        remove_partial(path)
         raise
+
+
+def remove_partial(path) -> None:
+    """Remove a partly written output if it is a regular file; a device such
+    as /dev/null or /dev/full that was opened for writing stays."""
+    if os.path.isfile(path):
+        os.remove(path)

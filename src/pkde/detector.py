@@ -95,8 +95,6 @@ def _pkde_scores(A, p: int, config: DetectorConfig):
 
     Returns (scores, reduced dimension used, exact mask).
     """
-    if A.shape[0] < 3:
-        raise InvalidInputError(f"need at least 3 rows, got {A.shape[0]}")
     model = fit_pca(A)
     if model.rank == 0:
         raise DegenerateDataError("all columns are constant; nothing to score")
@@ -121,35 +119,29 @@ def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
     return detect("pkde", X, config)
 
 
-def _knn_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
-    if A.shape[0] < 2:
-        raise InvalidInputError(f"need at least 2 rows, got {A.shape[0]}")
+def _knn_scores(A, p: int, config: DetectorConfig):
     k = min(config.neighbors, A.shape[0] - 1)
-    return np.ldexp(baselines.knn_dist_score(A, k), p), A.shape[1]
+    return np.ldexp(baselines.knn_dist_score(A, k), p), A.shape[1], None
 
 
-def _lof_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
-    if A.shape[0] < 3:
-        raise InvalidInputError(f"need at least 3 rows, got {A.shape[0]}")
+def _lof_scores(A, p: int, config: DetectorConfig):
     k = min(max(config.neighbors, 2), A.shape[0] - 1)
-    return baselines.lof_score(A, k), A.shape[1]
+    return baselines.lof_score(A, k), A.shape[1], None
 
 
-def _mahalanobis_scores(A, p: int, config: DetectorConfig) -> tuple[np.ndarray, int]:
-    if A.shape[0] < 2:
-        raise InvalidInputError(f"need at least 2 rows, got {A.shape[0]}")
-    return baselines.mahalanobis_score(A), A.shape[1]
+def _mahalanobis_scores(A, p: int, config: DetectorConfig):
+    return baselines.mahalanobis_score(A), A.shape[1], None
 
 
-# detector id -> callable(A, p, config) -> (scores, effective dimension) of
-# A * 2**p, the matrix detect() has checked; max |A| is in [0.5, 1). LOF and
-# Mahalanobis scores do not depend on the scale, so they ignore p. PKDE adds
-# a third item, the mask of exact scores; the others are exact everywhere.
+# detector id -> (fewest rows, scorer(A, p, config)). A scorer scores
+# A * 2**p, the matrix detect() has checked (max |A| in [0.5, 1)), as
+# (scores, effective dimension, exact mask or None if all are exact).
+# LOF and Mahalanobis scores do not depend on the scale; they ignore p.
 _SCORERS = {
-    "pkde": _pkde_scores,
-    "mahalanobis": _mahalanobis_scores,
-    "knn-dist": _knn_scores,
-    "lof": _lof_scores,
+    "pkde": (3, _pkde_scores),
+    "mahalanobis": (2, _mahalanobis_scores),
+    "knn-dist": (2, _knn_scores),
+    "lof": (3, _lof_scores),
 }
 
 DETECTOR_IDS = tuple(_SCORERS)
@@ -159,15 +151,17 @@ def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
     """Run the named detector, its BLAS on one OpenBLAS thread, and threshold
     its scores at the configured contamination."""
     try:
-        scorer = _SCORERS[name]
+        fewest, scorer = _SCORERS[name]
     except KeyError:
         raise InvalidInputError(
             f"unknown detector {name!r}; known: {', '.join(DETECTOR_IDS)}"
         ) from None
     A, p = pow2_scale(as_matrix(X))
+    if A.shape[0] < fewest:
+        raise InvalidInputError(f"need at least {fewest} rows, got {A.shape[0]}")
     t0 = time.perf_counter()
     with _one_blas_thread():
-        scores, dim, *exact = scorer(A, p, config)
+        scores, dim, exact = scorer(A, p, config)
     t1 = time.perf_counter()
     bad = int(np.sum(~np.isfinite(scores)))
     if bad:
@@ -182,7 +176,7 @@ def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
         labels=labels,
         k_used=k,
         reduced_dim=dim,
-        exact=exact[0] if exact else np.ones(scores.shape[0], dtype=bool),
+        exact=np.ones(scores.shape[0], dtype=bool) if exact is None else exact,
         fit_time=t1 - t0,
         score_time=t2 - t1,
     )

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from pkde import linalg
@@ -22,3 +24,17 @@ def blas_count_unchanged(blas_get):
     before = blas_get()
     yield
     assert blas_get() == before, "the test changed the OpenBLAS thread count"
+
+
+@pytest.fixture(autouse=True)
+def only_regular_files_removed(monkeypatch):
+    """No test removes an existing path that is not a regular file: run as
+    root, a stray os.remove would delete a device such as /dev/null."""
+    remove = os.remove
+
+    def guarded(path, *args, **kwargs):
+        if os.path.lexists(path) and not os.path.isfile(path):
+            pytest.fail(f"os.remove({path!r}): not a regular file")
+        return remove(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "remove", guarded)

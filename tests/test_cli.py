@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -39,7 +40,7 @@ def scaled_planted(tmp_path, scale):
 
 def nan_scorer(A, p, config):
     """A stand-in scorer whose every score is NaN."""
-    return np.full(A.shape[0], np.nan), 1
+    return np.full(A.shape[0], np.nan), 1, None
 
 
 def subcommand_dests(name):
@@ -136,6 +137,32 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"kind": "dual-density", "outliers": 0, "variance-ratio": "nan"},
+            {"kind": "dual-density", "outliers": 0, "separation": "inf"},
+            {"kind": "dual-density", "outliers": 0, "separation": "nan"},
+            {"outliers": 1, "distance": "nan"},
+            {"outliers": 1, "distance": "inf"},
+        ],
+    )
+    def test_non_finite_knob_exit_1_no_output(self, tmp_path, capsys, overrides):
+        out = tmp_path / "d.csv"
+        assert run(synth_args(out, **overrides)) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_failed_device_write_removes_nothing(self, capsys, monkeypatch):
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        assert run(synth_args("/dev/full", n=5000, dim=50)) == 2
+        assert "data error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert removed == []
+
     def test_bad_spec_is_usage_error(self, tmp_path):
         out = tmp_path / "d.csv"
         rc = run(synth_args(out, kind="gaussian", outliers="5"))
@@ -223,7 +250,7 @@ class TestDetect:
         assert not out.exists()
 
     def test_non_finite_scores_exit_3_no_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)
+        monkeypatch.setitem(detector._SCORERS, "pkde", (3, nan_scorer))
         data = tmp_path / "d.csv"
         assert run(synth_args(data)) == 0
         out = tmp_path / "scores.csv"
@@ -301,7 +328,7 @@ class TestDetect:
             raise MemoryError("Unable to allocate 3.09 GiB")
 
         if where == "scorer":
-            monkeypatch.setitem(detector._SCORERS, "pkde", exhausted)
+            monkeypatch.setitem(detector._SCORERS, "pkde", (3, exhausted))
         else:
             # Tiles of 2 x 16 on two workers; the second block fails in a
             # worker thread.
@@ -376,6 +403,18 @@ class TestDetect:
     def test_unknown_flag_exit_1(self):
         assert run(["detect", "--frobnicate"]) == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [["detect", "--contamination", "0.1"], ["sweep", "--grid", "0.1"], ["bench"]],
+    )
+    def test_not_utf8_exit_2(self, tmp_path, capsys, command):
+        data = tmp_path / "f.csv"
+        data.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        assert run(command + ["-i", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data}: not UTF-8 text (")
+        assert err.count("\n") == 1
+
     def test_reproducible_output(self, tmp_path):
         data = tmp_path / "d.csv"
         assert run(synth_args(data)) == 0
@@ -420,7 +459,7 @@ class TestSweep:
         def never(*args):
             raise AssertionError("a detector ran")
 
-        monkeypatch.setitem(detector._SCORERS, "pkde", never)
+        monkeypatch.setitem(detector._SCORERS, "pkde", (3, never))
         data = tmp_path / "d.csv"
         assert run(synth_args(data)) == 0
         (tmp_path / "sub").mkdir()
@@ -447,7 +486,7 @@ class TestSweep:
         assert len(rows) == 1 + 30 * 4
 
     def test_non_finite_scores_exit_3_no_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)
+        monkeypatch.setitem(detector._SCORERS, "pkde", (3, nan_scorer))
         data = tmp_path / "d.csv"
         assert run(synth_args(data)) == 0
         report = tmp_path / "report.csv"
@@ -476,6 +515,22 @@ class TestSweep:
         capsys.readouterr()
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
+
+    def test_bad_plot_path_keeps_device_report(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.csv"
+        assert run(synth_args(data)) == 0
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        rc = run(
+            [
+                "sweep", "-i", str(data), "--grid", "0.05", "-o", os.devnull,
+                "--plot-data", str(tmp_path / "missing" / "dir" / "f.csv"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: [Errno 2] No such file or directory")
+        assert removed == []
 
     def test_empty_detector_list_exit_1(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -95,6 +95,12 @@ class TestGenSynthetic:
             ("gaussian-cov", "rho", -0.1, r"rho must be in \[0, 1\), got -0.1"),
             ("gaussian-planted", "distance", 0.0, "outlier distance must be positive"),
             ("dual-density", "variance_ratio", 0.0, "variance_ratio must be positive"),
+            ("gaussian", "rho", np.nan, "rho must be finite, got nan"),
+            ("gaussian-planted", "distance", np.nan, "distance must be finite, got nan"),
+            ("gaussian-planted", "distance", np.inf, "distance must be finite, got inf"),
+            ("dual-density", "separation", np.nan, "separation must be finite, got nan"),
+            ("dual-density", "separation", -np.inf, "separation must be finite, got -inf"),
+            ("dual-density", "variance_ratio", np.nan, "variance_ratio must be finite, got nan"),
         ],
     )
     def test_bad_field(self, kind, field, value, message):
@@ -134,6 +140,13 @@ class TestLoadCsv:
         ds = load_csv(path, has_header=False)
         assert ds.n == 2
         assert ds.d == 2
+
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_not_utf8_is_parse_error(self, tmp_path, has_header):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a,b\n1,2\n3,\xff\n")
+        with pytest.raises(ParseError, match=r"d\.csv: not UTF-8 text \(.*0xff"):
+            load_csv(path, has_header=has_header)
 
     @pytest.mark.parametrize("read", [datasets._read_rows, datasets._read_loadtxt])
     def test_byte_order_mark_ignored(self, tmp_path, read):

@@ -257,8 +257,8 @@ class TestDetect:
             detect(name, X, DetectorConfig(contamination=0.5))
 
     def test_non_finite_scores_raise(self, monkeypatch):
-        nan_scorer = lambda A, p, config: (np.full(A.shape[0], np.nan), 1)
-        monkeypatch.setitem(detector._SCORERS, "pkde", nan_scorer)
+        nan_scorer = lambda A, p, config: (np.full(A.shape[0], np.nan), 1, None)
+        monkeypatch.setitem(detector._SCORERS, "pkde", (3, nan_scorer))
         ds = planted()
         with pytest.raises(NumericalError, match="100 non-finite scores of 100"):
             detect("pkde", ds.X, DetectorConfig(contamination=0.05))

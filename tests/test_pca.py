@@ -80,6 +80,13 @@ class TestChooseDim:
     def test_degenerate_tail(self):
         assert choose_dim(_model([1.0, 0.0]), 0.5) == 1
 
+    def test_constant_data_gives_one(self):
+        assert choose_dim(fit_pca(np.full((10, 3), 2.5)), 0.9) == 1
+
+    def test_no_hit_gives_full_dimension(self):
+        # The ratios fall 1e-9 short of 1, more than the 1e-12 slack.
+        assert choose_dim(_model([0.7, 0.2, 0.1 - 1e-9]), 1.0) == 3
+
     @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5])
     def test_bad_threshold(self, threshold):
         with pytest.raises(InvalidInputError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ParseError
-from .linalg import as_matrix, check_int
+from .linalg import as_matrix, check_int, check_real
 
 SYNTH_KINDS = ("gaussian", "gaussian-cov", "dual-density", "gaussian-planted")
 
@@ -68,6 +68,7 @@ class SynthSpec:
             check_int(getattr(self, name), name)
         for name in ("rho", "distance", "separation", "variance_ratio"):
             value = getattr(self, name)
+            check_real(value, name)
             if not math.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value}")
         if self.n_normal < 1 or self.dim < 1:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
-from .kde import BANDWIDTH_RULES, fit_kde, log_density_loo_top_k, scott_bandwidth
-from .linalg import _one_blas_thread, as_matrix, check_int, lowest_k, pow2_scale
+from .kde import BANDWIDTH_RULES, _loo_top_k, _Whitened, fit_kde, scott_bandwidth
+from .linalg import _one_blas_thread, as_matrix, check_int, check_real, lowest_k, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
 
@@ -31,10 +31,12 @@ class DetectorConfig:
     neighbors: int = 10  # k for the kNN-distance and LOF baselines
 
     def __post_init__(self):
+        check_real(self.contamination, "contamination")
         if not 0.0 < self.contamination <= 0.5:
             raise InvalidInputError(
                 f"contamination must be in (0, 0.5], got {self.contamination}"
             )
+        check_real(self.variance_threshold, "variance_threshold")
         if not 0.0 < self.variance_threshold <= 1.0:
             raise InvalidInputError(
                 f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
@@ -89,28 +91,41 @@ def k_from_contamination(contamination: float, n: int) -> int:
     return -(-int(whole + frac) * n // 10 ** (len(frac) - int(exp or 0)))
 
 
-def _pkde_scores(A, p: int, config: DetectorConfig):
-    """Negative log KDE density of every row in the reduced space, exact
-    where it decides the top K and a certified bound elsewhere.
+def _pkde_samples(X, config: DetectorConfig):
+    """(whitened samples, m, p): PKDE's KDE samples, the PCA projection of
+    X * 2**-p onto m components, whitened and lifted (kde._Whitened).
 
-    Returns (scores, reduced dimension used, exact mask).
+    Only this frame holds the scaled copy, the projection and the KdeModel,
+    so all three are freed before the kernel sums; the scaled copy goes as
+    soon as it is projected, before the whitening makes its copies.
     """
+    A, p = pow2_scale(X)
     model = fit_pca(A)
     if model.rank == 0:
         raise DegenerateDataError("all columns are constant; nothing to score")
     wanted = config.fixed_dim or choose_dim(model, config.variance_threshold)
     m = min(wanted, model.rank)  # numerically null directions always go
     reduced = project(model, A, m)
+    del A
     S_red = np.diag(model.eigenvalues[:m])  # the covariance of the projection
-    bw = scott_bandwidth(S_red, A.shape[0], rule=config.bandwidth_rule)
-    kde = fit_kde(reduced, bw)
+    bw = scott_bandwidth(S_red, reduced.shape[0], rule=config.bandwidth_rule)
+    return _Whitened(fit_kde(reduced, bw)), m, p
+
+
+def _pkde_scores(X, config: DetectorConfig):
+    """Negative log KDE density of every row in the reduced space, exact
+    where it decides the top K and a certified bound elsewhere.
+
+    Returns (scores, reduced dimension used, exact mask).
+    """
+    wh, m, p = _pkde_samples(X, config)
     # Rank by the leave-one-out density: same label set as the self-inclusive
     # estimate (the self kernel is the same constant for every point) but it
     # stays resolvable in float64 when the self term dominates in high d.
-    # An m-dimensional density at scale 2**p is the density of A over 2**(p*m).
+    # An m-dimensional density at scale 2**p is the density of X over 2**(p*m).
     offset = m * p * math.log(2.0)
-    k = k_from_contamination(config.contamination, A.shape[0])
-    log_density, exact = log_density_loo_top_k(kde, k, offset)
+    k = k_from_contamination(config.contamination, wh.n)
+    log_density, exact = _loo_top_k(wh, k, offset)
     return offset - log_density, m, exact
 
 
@@ -119,24 +134,27 @@ def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
     return detect("pkde", X, config)
 
 
-def _knn_scores(A, p: int, config: DetectorConfig):
+def _knn_scores(X, config: DetectorConfig):
+    A, p = pow2_scale(X)
     k = min(config.neighbors, A.shape[0] - 1)
     return np.ldexp(baselines.knn_dist_score(A, k), p), A.shape[1], None
 
 
-def _lof_scores(A, p: int, config: DetectorConfig):
-    k = min(max(config.neighbors, 2), A.shape[0] - 1)
-    return baselines.lof_score(A, k), A.shape[1], None
+def _lof_scores(X, config: DetectorConfig):
+    k = min(max(config.neighbors, 2), X.shape[0] - 1)
+    return baselines.lof_score(pow2_scale(X)[0], k), X.shape[1], None
 
 
-def _mahalanobis_scores(A, p: int, config: DetectorConfig):
-    return baselines.mahalanobis_score(A), A.shape[1], None
+def _mahalanobis_scores(X, config: DetectorConfig):
+    return baselines.mahalanobis_score(pow2_scale(X)[0]), X.shape[1], None
 
 
-# detector id -> (fewest rows, scorer(A, p, config)). A scorer scores
-# A * 2**p, the matrix detect() has checked (max |A| in [0.5, 1)), as
-# (scores, effective dimension, exact mask or None if all are exact).
-# LOF and Mahalanobis scores do not depend on the scale; they ignore p.
+# detector id -> (fewest rows, scorer(X, config)). A scorer scores X, the
+# matrix detect() has checked, through its own copy A = X * 2**-p
+# (linalg.pow2_scale: max |A| in [0.5, 1)), made in the scorer so that it
+# can be freed before the scorer returns; detect's frame would hold it to
+# the end. It returns (scores, effective dimension, exact mask or None if
+# all are exact). LOF and Mahalanobis scores do not depend on the scale.
 _SCORERS = {
     "pkde": (3, _pkde_scores),
     "mahalanobis": (2, _mahalanobis_scores),
@@ -156,12 +174,12 @@ def detect(name: str, X, config: DetectorConfig) -> DetectionResult:
         raise InvalidInputError(
             f"unknown detector {name!r}; known: {', '.join(DETECTOR_IDS)}"
         ) from None
-    A, p = pow2_scale(as_matrix(X))
+    A = as_matrix(X)
     if A.shape[0] < fewest:
         raise InvalidInputError(f"need at least {fewest} rows, got {A.shape[0]}")
     t0 = time.perf_counter()
     with _one_blas_thread():
-        scores, dim, exact = scorer(A, p, config)
+        scores, dim, exact = scorer(A, config)
     t1 = time.perf_counter()
     bad = int(np.sum(~np.isfinite(scores)))
     if bad:

@@ -133,11 +133,12 @@ class _Whitened:
     W Wᵀ = H_inv, which makes every kernel isotropic.
 
     B holds the samples lifted to [z, 1, -‖z‖²/2] (linalg.lift), so
-    B[i, swap] @ B[j] = -‖z_i - z_j‖²/2.
+    B[i, swap] @ B[j] = -‖z_i - z_j‖²/2. It keeps n, d and the bandwidth,
+    not the model, so a caller that drops the model frees the samples.
     """
 
     def __init__(self, model: KdeModel):
-        self.model = model
+        self.n, self.d, self.bandwidth = model.n, model.d, model.bandwidth
         self.shift = model.samples.mean(axis=0)
         # detect holds OpenBLAS to one thread around this too: a threaded call
         # would wake OpenBLAS threads that spin on the cores the workers need.
@@ -198,8 +199,8 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
     samples, shifted by their largest term, in blocks of whole rows that
     hold no more than a tile.
     """
-    model, B, swap = wh.model, wh.B, wh.swap
-    n, m = model.n, model.d
+    B, swap = wh.B, wh.swap
+    n, m = wh.n, wh.d
     idx = np.arange(n) if rows is None else rows  # with Q=None
     symmetric = Q is None and rows is None
 
@@ -248,7 +249,7 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
     for s, e, exact in row_blocks(redo.size, whole, min(whole, redo.size) * n, shifted_sums):
         out[redo[s:e]] = exact
     count = n - 1 if Q is None else n
-    return out + (_log_kernel_const(model.bandwidth, m) - np.log(count))
+    return out + (_log_kernel_const(wh.bandwidth, m) - np.log(count))
 
 
 def log_density_all(model: KdeModel, queries) -> np.ndarray:
@@ -289,7 +290,9 @@ def _leaf_order(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows is cut at its middle, since its rows are interchangeable.
     """
     n = Z.shape[0]
-    ZT = np.ascontiguousarray(Z.T)  # its rows reduce much faster than Z's columns
+    # Its rows reduce much faster than Z's columns. Each split permutes its
+    # segment in place, one coordinate row at a time, so it stays the only copy.
+    ZT = np.ascontiguousarray(Z.T)
     order = np.arange(n)
     starts = []
     todo = [(0, n)]
@@ -298,8 +301,7 @@ def _leaf_order(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if e - s <= _LEAF_ROWS:
             starts.append(s)
             continue
-        idx = order[s:e]
-        P = np.take(ZT, idx, axis=1)  # C-ordered, unlike ZT[:, idx]
+        P = ZT[:, s:e]
         span = P.max(axis=1) - P.min(axis=1)
         c = int(np.argmax(span))
         h = (e - s) // 2
@@ -314,7 +316,10 @@ def _leaf_order(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             cut = lo
             if lo == 0 or (hi < e - s and hi - h < h - lo):
                 left, cut = v <= median, hi
-            order[s:e] = np.concatenate([idx[left], idx[~left]])
+            perm = np.concatenate([np.flatnonzero(left), np.flatnonzero(~left)])
+            order[s:e] = order[s:e][perm]
+            for row in P:
+                row[:] = row[perm]
         todo += [(s + cut, e), (s, s + cut)]  # the left half comes off first
     return order, np.array(starts + [n])
 
@@ -337,8 +342,7 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
     _UNDERFLOW_SUM counts as 0. The fallback counts each row's window of
     three leaves against the n(n-1)/2 pairs of the full sum.
     """
-    model = wh.model
-    n, m = model.n, model.d
+    n, m = wh.n, wh.d
     order, starts = _leaf_order(wh.B[:, :m])
     leaves = np.arange(starts.size - 1)
     lo = starts[np.maximum(leaves - 1, 0)]
@@ -363,7 +367,7 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
         np.log(sums, out=sums)
     out = np.empty(n)
     out[order] = sums
-    return out + (_log_kernel_const(model.bandwidth, m) - np.log(n - 1))
+    return out + (_log_kernel_const(wh.bandwidth, m) - np.log(n - 1))
 
 
 def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
@@ -388,10 +392,14 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
     the bounds would cost as much as the full sum, or when round 2 would make
     more than n/4 rows exact; then the symmetric full sum is returned.
     """
-    n = model.n
+    return _loo_top_k(_Whitened(model), k, offset)
+
+
+def _loo_top_k(wh: _Whitened, k: int, offset: float):
+    """log_density_loo_top_k from the lifted samples alone."""
+    n = wh.n
     if not 1 <= k <= n:
         raise InvalidInputError(f"k={k} out of range [1, {n}]")
-    wh = _Whitened(model)
     out = None if 4 * k > n else _log_local_bounds(wh)  # replaced where summed
     if out is not None:
         exact = np.zeros(n, dtype=bool)

@@ -207,6 +207,13 @@ def check_int(value, name: str) -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(value, name: str) -> None:
+    """Reject a value that is not a real number; numpy floats and integers
+    pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and convert to a finite 1-D float64 array."""
     v = np.asarray(x, dtype=np.float64)

@@ -1,4 +1,8 @@
+# row_blocks imports concurrent.futures on its first pooled loop; importing it
+# here keeps that import out of every traced peak.
+import concurrent.futures  # noqa: F401
 import os
+import tracemalloc
 
 import pytest
 
@@ -38,3 +42,19 @@ def only_regular_files_removed(monkeypatch):
         return remove(path, *args, **kwargs)
 
     monkeypatch.setattr(os, "remove", guarded)
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args, **kwargs) -> (fn's result, the peak bytes that
+    tracemalloc traced while fn ran)."""
+
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,15 +188,10 @@ class TestKnnTable:
                 assert np.array_equal(table.indices, idx)
                 assert np.array_equal(table.distances, dist)
 
-    def test_peak_memory_below_half_dense_matrix(self):
+    def test_peak_memory_below_half_dense_matrix(self, traced_peak):
         rng = np.random.default_rng(52)
         X = rng.standard_normal((3000, 4))
-        tracemalloc.start()
-        try:
-            knn_table(X, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(knn_table, X, 10)
         assert peak < 8 * 3000**2 / 2
         # The block buffers hold 1_000_000 floats (8 MB); each block adds a
         # mask and a sample an eighth of its size, and the table is 0.5 MB.

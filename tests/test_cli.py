@@ -38,7 +38,7 @@ def scaled_planted(tmp_path, scale):
     return scaled
 
 
-def nan_scorer(A, p, config):
+def nan_scorer(A, config):
     """A stand-in scorer whose every score is NaN."""
     return np.full(A.shape[0], np.nan), 1, None
 

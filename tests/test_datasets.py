@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +99,10 @@ class TestGenSynthetic:
             ("dual-density", "separation", np.nan, "separation must be finite, got nan"),
             ("dual-density", "separation", -np.inf, "separation must be finite, got -inf"),
             ("dual-density", "variance_ratio", np.nan, "variance_ratio must be finite, got nan"),
+            ("gaussian", "rho", True, "rho must be a real number, got True"),
+            ("gaussian-planted", "distance", "3", "distance must be a real number, got '3'"),
+            ("dual-density", "separation", None, "separation must be a real number, got None"),
+            ("dual-density", "variance_ratio", [0.5], r"variance_ratio must be a real number, got \[0.5\]"),
         ],
     )
     def test_bad_field(self, kind, field, value, message):
@@ -319,18 +321,13 @@ class TestLoadCsvFastPath:
         monkeypatch.setattr(datasets, "_read_rows", None)  # any use fails
         assert load_csv(path, label_column="label").labels.tolist() == [0, 0, 1]
 
-    def test_parse_peak_memory(self, tmp_path):
+    def test_parse_peak_memory(self, tmp_path, traced_peak):
         # 3000 x 20 floats are 480 kB. Through the csv module's lists of cell
         # strings the parse peaks at 11 times that, through loadtxt at 2.2.
         ds = gen_synthetic(SynthSpec("gaussian", n_normal=3000, dim=20, seed=3))
         path = tmp_path / "d.csv"
         write_csv(ds, path)
-        tracemalloc.start()
-        try:
-            back = load_csv(path, label_column="label")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        back, peak = traced_peak(load_csv, path, label_column="label")
         assert np.array_equal(back.X, ds.X)
         assert peak < 3 * ds.X.nbytes
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +236,24 @@ class TestPkdeFitScore:
             result = detect("pkde", X, DetectorConfig(0.1, fixed_dim=fixed_dim))
             assert result.reduced_dim == min(fixed_dim, rank)
 
+    @pytest.mark.parametrize(
+        "n_normal, n_outlier, dim, bound", [(19000, 1000, 8, 4.0), (6113, 322, 36, 3.5)]
+    )
+    def test_peak_memory_frees_each_stage(
+        self, monkeypatch, traced_peak, n_normal, n_outlier, dim, bound
+    ):
+        # The tall-8 and cli-sat benchmark shapes. Each n-row copy dies with
+        # its stage: the scaled copy before the whitening, the projection
+        # before the kernel sums, and the leaf order permutes its one
+        # transposed copy in place. At most three n-row arrays live at once:
+        # the projection, its whitened copy and the lifted samples; or the
+        # lifted samples, their leaf-ordered copy and the bound pass's 1 MB.
+        monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
+        X = planted(seed=0, n_normal=n_normal, n_outlier=n_outlier, dim=dim).X
+        result, peak = traced_peak(detect, "pkde", X, DetectorConfig(contamination=0.05))
+        assert not result.exact.all()  # the certified top-K, not the full sum
+        assert peak < bound * X.nbytes
+
 
 class TestDetect:
     def test_dispatch_identity(self):
@@ -257,7 +277,7 @@ class TestDetect:
             detect(name, X, DetectorConfig(contamination=0.5))
 
     def test_non_finite_scores_raise(self, monkeypatch):
-        nan_scorer = lambda A, p, config: (np.full(A.shape[0], np.nan), 1, None)
+        nan_scorer = lambda A, config: (np.full(A.shape[0], np.nan), 1, None)
         monkeypatch.setitem(detector._SCORERS, "pkde", (3, nan_scorer))
         ds = planted()
         with pytest.raises(NumericalError, match="100 non-finite scores of 100"):
@@ -397,6 +417,20 @@ class TestDetectorConfig:
     def test_bad_rule(self):
         with pytest.raises(InvalidInputError):
             DetectorConfig(contamination=0.1, bandwidth_rule="silverman")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("contamination", "0.1"),
+            ("contamination", True),
+            ("variance_threshold", True),
+            ("variance_threshold", None),
+        ],
+    )
+    def test_fraction_not_a_real_number(self, field, value):
+        message = re.escape(f"{field} must be a real number, got {value!r}")
+        with pytest.raises(InvalidInputError, match=message):
+            DetectorConfig(**{"contamination": 0.1, field: value})
 
     @pytest.mark.parametrize("field", ["fixed_dim", "neighbors"])
     def test_count_below_one(self, field):

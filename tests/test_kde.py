@@ -1,8 +1,4 @@
-# row_blocks imports concurrent.futures on its first pooled loop; importing it
-# here keeps that import out of the traced peaks below.
-import concurrent.futures  # noqa: F401
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -378,7 +374,7 @@ class TestLogDensityLoo:
         assert np.array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_memory_within_block_budget(self, monkeypatch, workers):
+    def test_peak_memory_within_block_budget(self, monkeypatch, traced_peak, workers):
         # The 6000 x 6000 kernel matrix would take 288 MB; each worker's
         # tile holds _TILE_ROWS x _TILE_COLS floats (1 MB), and
         # ROW_FLOATS a row cover the lifted samples, their whitening
@@ -387,14 +383,16 @@ class TestLogDensityLoo:
         monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
         rng = np.random.default_rng(45)
         model = fit_kde(rng.standard_normal((6000, 3)), make_bandwidth(np.eye(3) * 0.3))
-        assert loo_peak(model) < 8 * (workers * TILE_FLOATS + ROW_FLOATS * 6000)
+        _, peak = traced_peak(log_density_loo, model)
+        assert peak < 8 * (workers * TILE_FLOATS + ROW_FLOATS * 6000)
 
-    def test_peak_memory_flat_in_n(self):
+    def test_peak_memory_flat_in_n(self, traced_peak):
         # Beyond the O(n) vectors, the traced peak does not grow with n: a
         # buffer that grew with the row length would add 8 * _TILE_ROWS
         # bytes a row.
         rng = np.random.default_rng(46)
-        peaks = [loo_peak(fit_kde(rng.standard_normal((n, 3)), make_bandwidth(np.eye(3) * 0.3)))
+        peaks = [traced_peak(log_density_loo, fit_kde(rng.standard_normal((n, 3)),
+                                                      make_bandwidth(np.eye(3) * 0.3)))[1]
                  for n in (6000, 24_000)]
         assert peaks[1] - peaks[0] < 8 * ROW_FLOATS * (24_000 - 6000)
 
@@ -403,15 +401,6 @@ class TestLogDensityLoo:
 # most ROW_FLOATS float64s a row of O(n) vectors.
 TILE_FLOATS = kde._TILE_ROWS * kde._TILE_COLS
 ROW_FLOATS = 20
-
-
-def loo_peak(model):
-    tracemalloc.start()
-    try:
-        log_density_loo(model)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestKernelSumTiles:
@@ -489,7 +478,7 @@ def window_bounds(wh, order, starts):
     kernel sum over its own leaf and the leaf on each side, from explicit
     differences of the whitened rows, summed densely; or None where those
     windows hold as many terms as the n(n-1)/2 pairs of the full sum."""
-    n, m = wh.model.n, wh.model.d
+    n, m = wh.n, wh.d
     Z = wh.B[:, :m]
     last = starts.size - 1
     windows = [order[starts[max(j - 1, 0)] : starts[min(j + 2, last)]] for j in range(last)]
@@ -504,10 +493,74 @@ def window_bounds(wh, order, starts):
     sums[~(sums >= kde._UNDERFLOW_SUM)] = 0.0
     with np.errstate(divide="ignore"):
         out = np.log(sums)
-    return out + (kde._log_kernel_const(wh.model.bandwidth, m) - math.log(n - 1))
+    return out + (kde._log_kernel_const(wh.bandwidth, m) - math.log(n - 1))
+
+
+def gathered_leaf_order(Z):
+    """Reference for kde._leaf_order: the same splits, each of which gathers
+    every coordinate of its segment from one transposed copy of Z that
+    stays in row order."""
+    n = Z.shape[0]
+    ZT = np.ascontiguousarray(Z.T)
+    order = np.arange(n)
+    starts = []
+    todo = [(0, n)]
+    while todo:
+        s, e = todo.pop()
+        if e - s <= kde._LEAF_ROWS:
+            starts.append(s)
+            continue
+        idx = order[s:e]
+        P = np.take(ZT, idx, axis=1)
+        span = P.max(axis=1) - P.min(axis=1)
+        c = int(np.argmax(span))
+        h = (e - s) // 2
+        if span[c] == 0.0:
+            cut = h
+        else:
+            v = P[c]
+            median = np.partition(v, h)[h]
+            left = v < median
+            lo = int(np.count_nonzero(left))
+            hi = int(np.count_nonzero(v <= median))
+            cut = lo
+            if lo == 0 or (hi < e - s and hi - h < h - lo):
+                left, cut = v <= median, hi
+            order[s:e] = np.concatenate([idx[left], idx[~left]])
+        todo += [(s + cut, e), (s, s + cut)]
+    return order, np.array(starts + [n])
 
 
 class TestLogDensityLooTopK:
+    @given(
+        st.integers(min_value=1, max_value=1500),
+        st.integers(min_value=1, max_value=4),
+        st.one_of(st.integers(min_value=1, max_value=64), st.just(256)),
+        st.sampled_from(["ties", "duplicates", "constant"]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_leaf_order_matches_gather_reference(self, n, m, leaf_rows, kind, data):
+        # Ties on the widest coordinate, duplicated rows, or a block of
+        # identical rows and a constant coordinate, whose segments are cut
+        # at their middle. Z is a column slice, as the lifted rows' are.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        Z = rng.standard_normal((n, m + 2))[:, :m]
+        if kind == "ties":
+            Z[:, 0] = np.round(Z[:, 0] * 2.0)
+        elif kind == "duplicates":
+            dups = rng.integers(n, size=data.draw(st.integers(0, n), label="dups"))
+            Z[dups] = Z[rng.integers(n, size=dups.size)]
+        else:
+            Z[: data.draw(st.integers(0, n), label="same")] = Z[0]
+            Z[:, -1] = 0.5
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kde, "_LEAF_ROWS", leaf_rows)
+            order, starts = kde._leaf_order(Z)
+            expected = gathered_leaf_order(Z)
+        assert np.array_equal(order, expected[0])
+        assert np.array_equal(starts, expected[1])
+
     @given(
         st.integers(min_value=2, max_value=3000),
         st.one_of(st.integers(min_value=1, max_value=64), st.just(256)),
@@ -654,19 +707,14 @@ class TestLogDensityLooTopK:
         assert leaves[0] == leaves[1]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_peak_memory_within_block_budget(self, monkeypatch, workers):
+    def test_peak_memory_within_block_budget(self, monkeypatch, traced_peak, workers):
         # The bound pass holds one pair of leaves on the calling thread, at
         # most 2 * _LEAF_ROWS^2 floats (1 MB); both rounds hold one tile per
         # worker. The three never overlap, and the lifted samples, the leaf
         # order and the sums stay within ROW_FLOATS a row.
         monkeypatch.setattr(linalg, "_worker_count", lambda: workers)
         model = planted_model(5700, 300, 3)
-        tracemalloc.start()
-        try:
-            _, exact = log_density_loo_top_k(model, 300)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, exact), peak = traced_peak(log_density_loo_top_k, model, 300)
         assert not exact.all()
         per_worker = max(2 * kde._LEAF_ROWS**2, TILE_FLOATS)
         assert peak < 8 * (workers * per_worker + ROW_FLOATS * 6000)

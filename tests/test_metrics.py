@@ -148,7 +148,7 @@ class TestSweep:
             sweep([], planted_dataset, [0.05])
 
     def test_non_finite_scores_raise(self, planted_dataset, monkeypatch):
-        nan_scorer = lambda A, p, config: (np.full(A.shape[0], np.nan), 1, None)
+        nan_scorer = lambda A, config: (np.full(A.shape[0], np.nan), 1, None)
         monkeypatch.setitem(detector._SCORERS, "pkde", (3, nan_scorer))
         with pytest.raises(NumericalError, match="non-finite"):
             sweep(["pkde"], planted_dataset, [0.05])

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
-from .kde import BANDWIDTH_RULES, _loo_top_k, _Whitened, fit_kde, scott_bandwidth
+from .kde import BANDWIDTH_RULES, _loo_top_k, _scott_scale, _Whitened
 from .linalg import _one_blas_thread, as_matrix, check_int, check_real, lowest_k, pow2_scale
 from .pca import choose_dim, fit_pca, project
 
@@ -76,6 +76,7 @@ def top_k_select(scores, k: int) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise InvalidInputError("scores must be a 1-D vector")
+    check_int(k, "k")
     if not 1 <= k <= s.shape[0]:
         raise InvalidInputError(f"k={k} out of range [1, {s.shape[0]}]")
     labels = np.zeros(s.shape[0], dtype=np.int64)
@@ -95,9 +96,9 @@ def _pkde_samples(X, config: DetectorConfig):
     """(whitened samples, m, p): PKDE's KDE samples, the PCA projection of
     X * 2**-p onto m components, whitened and lifted (kde._Whitened).
 
-    Only this frame holds the scaled copy, the projection and the KdeModel,
-    so all three are freed before the kernel sums; the scaled copy goes as
-    soon as it is projected, before the whitening makes its copies.
+    H = diag(h), the projection's covariance diag(eigenvalues[:m]) times the
+    Scott factor, so whitening divides each centred column by sqrt(h).
+    Only this frame holds the scaled copy and the projection, freed on return.
     """
     A, p = pow2_scale(X)
     model = fit_pca(A)
@@ -107,9 +108,10 @@ def _pkde_samples(X, config: DetectorConfig):
     m = min(wanted, model.rank)  # numerically null directions always go
     reduced = project(model, A, m)
     del A
-    S_red = np.diag(model.eigenvalues[:m])  # the covariance of the projection
-    bw = scott_bandwidth(S_red, reduced.shape[0], rule=config.bandwidth_rule)
-    return _Whitened(fit_kde(reduced, bw)), m, p
+    h = _scott_scale(reduced.shape[0], m, config.bandwidth_rule) * model.eigenvalues[:m]
+    reduced -= reduced.mean(axis=0)
+    reduced /= np.sqrt(h)
+    return _Whitened(reduced, float(np.sum(np.log(h)))), m, p
 
 
 def _pkde_scores(X, config: DetectorConfig):

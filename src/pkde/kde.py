@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularBandwidthError
-from .linalg import _one_blas_thread, as_matrix, as_vector, lift, lowest_k, rank_of, row_blocks
+from .linalg import (
+    _one_blas_thread, as_matrix, as_vector, check_int, lift, lowest_k, rank_of, row_blocks,
+)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -72,8 +74,7 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     if rule not in BANDWIDTH_RULES:
         raise InvalidInputError(f"unknown bandwidth rule {rule!r}")
     d = A.shape[0]
-    factor = float(n) ** (-1.0 / (d + 4))
-    scale = factor * factor if rule == "scott-squared" else factor
+    scale = _scott_scale(n, d, rule)
     S_sym = 0.5 * (A + A.T)
     H = scale * S_sym
     try:
@@ -90,6 +91,12 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     return Bandwidth(H=H, H_inv=L_inv.T @ L_inv, log_det_H=log_det, scott_factor=scale)
 
 
+def _scott_scale(n: int, d: int, rule: str) -> float:
+    """The Scott factor n^(-1/(d+4)), squared under rule "scott-squared"."""
+    factor = float(n) ** (-1.0 / (d + 4))
+    return factor * factor if rule == "scott-squared" else factor
+
+
 def fit_kde(samples, bandwidth: Bandwidth) -> KdeModel:
     """Bundle reference samples with a bandwidth of matching dimension."""
     X = as_matrix(samples, "samples")
@@ -103,10 +110,6 @@ def fit_kde(samples, bandwidth: Bandwidth) -> KdeModel:
     return KdeModel(samples=X, bandwidth=bandwidth, n=n, d=d)
 
 
-def _log_kernel_const(bw: Bandwidth, d: int) -> float:
-    return -0.5 * d * _LOG_2PI - 0.5 * bw.log_det_H
-
-
 def gaussian_kernel(x, bw: Bandwidth) -> float:
     """Multivariate normal kernel K_H(x), computed through log space."""
     v = as_vector(x, "x")
@@ -114,7 +117,7 @@ def gaussian_kernel(x, bw: Bandwidth) -> float:
     if v.shape[0] != d:
         raise InvalidInputError(f"x has length {v.shape[0]}, bandwidth is {d}-dim")
     quad = max(float(v @ bw.H_inv @ v), 0.0)
-    return float(np.exp(_log_kernel_const(bw, d) - 0.5 * quad))
+    return float(np.exp(-0.5 * d * _LOG_2PI - 0.5 * bw.log_det_H - 0.5 * quad))
 
 
 def density(model: KdeModel, query) -> float:
@@ -125,28 +128,27 @@ def density(model: KdeModel, query) -> float:
         raise InvalidInputError(
             f"query has length {q.shape[0]}, model is {model.d}-dimensional"
         )
-    return float(np.exp(_log_kernel_sum(_Whitened(model), q[None, :])[0]))
+    return float(np.exp(log_density_all(model, q[None, :])[0]))
 
 
 class _Whitened:
-    """The samples of a KDE model, whitened once: z = Wᵀ(x - mean) with
-    W Wᵀ = H_inv, which makes every kernel isotropic.
+    """Whitened KDE samples z, in which every kernel is isotropic, lifted to
+    B = [z, 1, -‖z‖²/2] (linalg.lift): B[i, swap] @ B[j] = -‖z_i - z_j‖²/2.
+    const is the log kernel constant, -(d log 2π + log det H)/2."""
 
-    B holds the samples lifted to [z, 1, -‖z‖²/2] (linalg.lift), so
-    B[i, swap] @ B[j] = -‖z_i - z_j‖²/2. It keeps n, d and the bandwidth,
-    not the model, so a caller that drops the model frees the samples.
-    """
+    def __init__(self, Z: np.ndarray, log_det_H: float):
+        self.n, self.d = Z.shape
+        self.const = -0.5 * self.d * _LOG_2PI - 0.5 * log_det_H
+        self.B, self.swap = lift(Z)
 
-    def __init__(self, model: KdeModel):
-        self.n, self.d, self.bandwidth = model.n, model.d, model.bandwidth
-        self.shift = model.samples.mean(axis=0)
-        # detect holds OpenBLAS to one thread around this too: a threaded call
-        # would wake OpenBLAS threads that spin on the cores the workers need.
-        self.W = np.linalg.cholesky(model.bandwidth.H_inv)
-        self.B, self.swap = lift(self.whiten(model.samples))
 
-    def whiten(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.shift) @ self.W
+def _whiten(model: KdeModel, Q=None):
+    """(the model's samples as a _Whitened, Q whitened alike or None), with
+    z = Wᵀ(x - mean), W the Cholesky factor of H_inv."""
+    shift = model.samples.mean(axis=0)
+    W = np.linalg.cholesky(model.bandwidth.H_inv)
+    wh = _Whitened((model.samples - shift) @ W, model.bandwidth.log_det_H)
+    return wh, None if Q is None else (Q - shift) @ W
 
 
 def _products(rows: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
@@ -181,8 +183,8 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
     with `rows` (sample indices) only those rows, each summed over all n
     samples like a query row.
 
-    Points are whitened (_Whitened); centering first keeps the expansion
-    below from cancelling badly far from the origin. The norms ride in the
+    Q comes whitened like the samples (_whiten); centering first keeps
+    the expansion below from cancelling badly far from the origin. The norms ride in the
     GEMM: samples are lifted to [z, 1, -‖z‖²/2] and query rows to
     [z, -‖z‖²/2, 1], so one product gives -‖z_q - z_i‖²/2.
     Rows go in linalg.row_blocks blocks of _TILE_ROWS, and each block walks
@@ -199,14 +201,13 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
     samples, shifted by their largest term, in blocks of whole rows that
     hold no more than a tile.
     """
-    B, swap = wh.B, wh.swap
-    n, m = wh.n, wh.d
+    B, swap, n = wh.B, wh.swap, wh.n
     idx = np.arange(n) if rows is None else rows  # with Q=None
     symmetric = Q is None and rows is None
 
     def lifted(i):
         if Q is not None:
-            return lift(wh.whiten(Q[i]))[0][:, swap]
+            return lift(Q[i])[0][:, swap]
         return B[idx[i]][:, swap]
 
     def block_sums(s, e, buf):
@@ -249,7 +250,7 @@ def _log_kernel_sum(wh: _Whitened, Q: np.ndarray | None, rows=None) -> np.ndarra
     for s, e, exact in row_blocks(redo.size, whole, min(whole, redo.size) * n, shifted_sums):
         out[redo[s:e]] = exact
     count = n - 1 if Q is None else n
-    return out + (_log_kernel_const(wh.bandwidth, m) - np.log(count))
+    return out + (wh.const - np.log(count))
 
 
 def log_density_all(model: KdeModel, queries) -> np.ndarray:
@@ -263,7 +264,7 @@ def log_density_all(model: KdeModel, queries) -> np.ndarray:
         raise InvalidInputError(
             f"queries have {Q.shape[1]} columns, model is {model.d}-dimensional"
         )
-    return _log_kernel_sum(_Whitened(model), Q)
+    return _log_kernel_sum(*_whiten(model, Q))
 
 
 def log_density_loo(model: KdeModel) -> np.ndarray:
@@ -276,7 +277,7 @@ def log_density_loo(model: KdeModel) -> np.ndarray:
     kernel K_H(0) dwarfs every other term, and the self-inclusive sum
     rounds to the same value for every point.
     """
-    return _log_kernel_sum(_Whitened(model), None)
+    return _log_kernel_sum(*_whiten(model))
 
 
 def _leaf_order(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +368,7 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
         np.log(sums, out=sums)
     out = np.empty(n)
     out[order] = sums
-    return out + (_log_kernel_const(wh.bandwidth, m) - np.log(n - 1))
+    return out + (wh.const - np.log(n - 1))
 
 
 def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
@@ -392,12 +393,13 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
     the bounds would cost as much as the full sum, or when round 2 would make
     more than n/4 rows exact; then the symmetric full sum is returned.
     """
-    return _loo_top_k(_Whitened(model), k, offset)
+    return _loo_top_k(_whiten(model)[0], k, offset)
 
 
 def _loo_top_k(wh: _Whitened, k: int, offset: float):
     """log_density_loo_top_k from the lifted samples alone."""
     n = wh.n
+    check_int(k, "k")
     if not 1 <= k <= n:
         raise InvalidInputError(f"k={k} out of range [1, {n}]")
     out = None if 4 * k > n else _log_local_bounds(wh)  # replaced where summed

@@ -189,9 +189,21 @@ def pow2_scale(A: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(A, -p), p
 
 
+def _as_float64(x, name: str) -> np.ndarray:
+    """x as a float64 array. Complex input, whose imaginary part a cast
+    would drop, and non-numeric or ragged input raise InvalidInputError."""
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind != "c":
+            return a.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"{name} must hold real numbers")
+
+
 def as_matrix(X, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a finite 2-D float64 array."""
-    A = np.asarray(X, dtype=np.float64)
+    A = _as_float64(X, name)
     if A.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
     if A.shape[0] == 0 or A.shape[1] == 0:
@@ -216,7 +228,7 @@ def check_real(value, name: str) -> None:
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Validate and convert to a finite 1-D float64 array."""
-    v = np.asarray(x, dtype=np.float64)
+    v = _as_float64(x, name)
     if v.ndim != 1 or v.shape[0] == 0:
         raise InvalidInputError(f"{name} must be a non-empty 1-D vector")
     if not np.all(np.isfinite(v)):

@@ -10,6 +10,7 @@ import numpy as np
 from .datasets import csv_text
 from .detector import DetectorConfig, detect, k_from_contamination, top_k_select
 from .errors import InvalidInputError
+from .linalg import check_int, check_real
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -93,8 +94,11 @@ def sweep(
     grid = list(contamination_grid)
     if not grid:
         raise InvalidInputError("the contamination grid is empty")
-    if any(not 0.0 < c <= 0.5 for c in grid):
-        raise InvalidInputError("contamination grid values must be in (0, 0.5]")
+    for c in grid:
+        check_real(c, "contamination grid value")
+        if not 0.0 < c <= 0.5:
+            raise InvalidInputError("contamination grid values must be in (0, 0.5]")
+    check_int(repeats, "repeats")
     if repeats < 1:
         raise InvalidInputError("repeats must be >= 1")
     detectors = list(detectors)

@@ -65,7 +65,7 @@ class TestTopKSelect:
         expected[order[:k]] = 1
         assert np.array_equal(labels, expected)
 
-    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("k", [0, 5, 2.0, True])
     def test_k_out_of_range(self, k):
         with pytest.raises(InvalidInputError):
             top_k_select([1.0, 2.0, 3.0], k)
@@ -236,8 +236,42 @@ class TestPkdeFitScore:
             result = detect("pkde", X, DetectorConfig(0.1, fixed_dim=fixed_dim))
             assert result.reduced_dim == min(fixed_dim, rank)
 
+    @given(
+        n=st.integers(min_value=3, max_value=400),
+        d=st.integers(min_value=1, max_value=6),
+        tiny=st.one_of(st.none(), st.floats(1.2e-12, 1e-11), st.floats(1e-14, 8e-13)),
+        rule=st.sampled_from(kde.BANDWIDTH_RULES),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_column_scale_matches_dense_whitening(self, n, d, tiny, rule, seed):
+        # Reference: the public dense route on the same projection, which
+        # factors H and whitens by the Cholesky factor of its inverse. With
+        # tiny, the last direction's variance is that fraction of the others':
+        # just above linalg.rank_of's 1e-12, so kept, or below it, so dropped.
+        rng = np.random.default_rng(seed)
+        X, kept = rng.standard_normal((n, d)), d
+        if tiny is not None and 1 < d < n:
+            X = np.linalg.qr(X - X.mean(axis=0))[0] * np.sqrt(np.r_[np.ones(d - 1), tiny])
+            kept = d if tiny > 1e-12 else d - 1
+        wh, m, _ = detector._pkde_samples(X, DetectorConfig(0.1, fixed_dim=d, bandwidth_rule=rule))
+        assert m == min(kept, n - 1)
+        A = linalg.pow2_scale(X)[0]
+        model = fit_pca(A)
+        bw = scott_bandwidth(np.diag(model.eigenvalues[:m]), n, rule)
+        ref = kde._whiten(fit_kde(project(model, A, m), bw))[0]
+        assert wh.const == pytest.approx(ref.const, rel=1e-13)
+        assert np.all(np.abs(wh.B - ref.B) <= 1e-13 * np.abs(ref.B).max(axis=0))
+        got, want = kde._log_kernel_sum(wh, None), kde._log_kernel_sum(ref, None)
+        tol = 1e-13 * np.maximum(np.abs(want), 1.0)
+        assert np.all(np.abs(got - want) <= tol)
+        k = k_from_contamination(0.1, n)
+        ranked = np.sort(want)
+        if k == n or ranked[k] - ranked[k - 1] > 4 * tol.max():  # no near-tie at the cut
+            assert np.array_equal(top_k_select(-got, k), top_k_select(-want, k))
+
     @pytest.mark.parametrize(
-        "n_normal, n_outlier, dim, bound", [(19000, 1000, 8, 4.0), (6113, 322, 36, 3.5)]
+        "n_normal, n_outlier, dim, bound", [(19000, 1000, 8, 3.45), (6113, 322, 36, 3.5)]
     )
     def test_peak_memory_frees_each_stage(
         self, monkeypatch, traced_peak, n_normal, n_outlier, dim, bound
@@ -246,8 +280,8 @@ class TestPkdeFitScore:
         # its stage: the scaled copy before the whitening, the projection
         # before the kernel sums, and the leaf order permutes its one
         # transposed copy in place. At most three n-row arrays live at once:
-        # the projection, its whitened copy and the lifted samples; or the
-        # lifted samples, their leaf-ordered copy and the bound pass's 1 MB.
+        # the lifted samples, their leaf-ordered copy and the bound pass's
+        # 1 MB; whitening scales the projection in place before it is lifted.
         monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
         X = planted(seed=0, n_normal=n_normal, n_outlier=n_outlier, dim=dim).X
         result, peak = traced_peak(detect, "pkde", X, DetectorConfig(contamination=0.05))
@@ -267,6 +301,10 @@ class TestDetect:
     def test_unknown_detector(self):
         with pytest.raises(InvalidInputError):
             detect("bogus", np.eye(3), DetectorConfig(contamination=0.1))
+
+    def test_complex_input_rejected(self):
+        with pytest.raises(InvalidInputError, match="matrix must hold real numbers"):
+            detect("pkde", np.eye(5) + 1j, DetectorConfig(contamination=0.1))
 
     @pytest.mark.parametrize("name", DETECTOR_IDS)
     def test_too_few_rows_message(self, name):

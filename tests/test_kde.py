@@ -118,8 +118,10 @@ class TestScottBandwidth:
 
     @pytest.mark.parametrize("lead", [1.0, 0.7, 3.0e5, 1.3 * 2.0**-40])
     def test_singular_exactly_when_pca_rank_drops(self, lead):
-        # PKDE hands scott_bandwidth diag(eigenvalues[:m]) with m <= rank, so
-        # the two tests must agree to the last bit at the threshold.
+        # scott_bandwidth's singular test and PcaModel.rank are both
+        # linalg.rank_of, so on diag(eigenvalues) they must agree to the last
+        # bit at the threshold. (PKDE's detect keeps m <= rank and builds its
+        # diagonal bandwidth without scott_bandwidth.)
         lam = 1e-12 * lead
         for _ in range(8):
             lam = np.nextafter(lam, 0.0)
@@ -442,7 +444,7 @@ class TestKernelSumTiles:
             mp.setattr(kde, "_TILE_COLS", tile[1])
             for workers in (1, 2):
                 mp.setattr(linalg, "_worker_count", lambda w=workers: w)
-                runs.append(kde._log_kernel_sum(kde._Whitened(model), Q, rows))
+                runs.append(kde._log_kernel_sum(*kde._whiten(model, Q), rows))
         np.testing.assert_allclose(runs[0], expected, rtol=1e-13, atol=0.0)
         assert np.array_equal(runs[0], runs[1])
 
@@ -493,7 +495,7 @@ def window_bounds(wh, order, starts):
     sums[~(sums >= kde._UNDERFLOW_SUM)] = 0.0
     with np.errstate(divide="ignore"):
         out = np.log(sums)
-    return out + (kde._log_kernel_const(wh.bandwidth, m) - math.log(n - 1))
+    return out + (wh.const - math.log(n - 1))
 
 
 def gathered_leaf_order(Z):
@@ -581,7 +583,7 @@ class TestLogDensityLooTopK:
         runs = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kde, "_LEAF_ROWS", leaf_rows)
-            wh = kde._Whitened(model)
+            wh = kde._whiten(model)[0]
             expected = window_bounds(wh, *kde._leaf_order(wh.B[:, :3]))
             for workers in (1, 2):
                 mp.setattr(linalg, "_worker_count", lambda w=workers: w)
@@ -597,7 +599,7 @@ class TestLogDensityLooTopK:
         # block masks their self terms: sum_j s_j * (s_j + s_(j+1)) terms,
         # against sum_j s_j * (s_(j-1) + s_j + s_(j+1)) with a window per row.
         model = planted_model(3800, 200, 8)
-        wh = kde._Whitened(model)
+        wh = kde._whiten(model)[0]
         sizes = np.diff(kde._leaf_order(wh.B[:, :8])[1])
         calls = []
         real = kde._kernels
@@ -654,7 +656,7 @@ class TestLogDensityLooTopK:
         X = np.vstack(clusters * 3)
         n = X.shape[0]
         model = fit_kde(X, make_bandwidth(np.eye(2) * 0.3))
-        every = kde._log_kernel_sum(kde._Whitened(model), None, rows=np.arange(n))
+        every = kde._log_kernel_sum(kde._whiten(model)[0], None, rows=np.arange(n))
         for k in range(1, n // 4):
             out, exact = log_density_loo_top_k(model, k)
             assert not exact.all()
@@ -688,7 +690,7 @@ class TestLogDensityLooTopK:
 
     def test_k_out_of_range(self):
         model = scott_model(np.random.default_rng(62).standard_normal((10, 2)))
-        for k in (0, 11):
+        for k in (0, 11, 2.0, True):
             with pytest.raises(InvalidInputError):
                 log_density_loo_top_k(model, k)
 

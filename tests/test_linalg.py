@@ -27,6 +27,11 @@ class TestAsMatrix:
             (linalg.as_vector, [[1.0]], "X must be a non-empty 1-D vector"),
             (linalg.as_vector, [], "X must be a non-empty 1-D vector"),
             (linalg.as_vector, [np.inf], "X contains NaN or Inf entries"),
+            (linalg.as_matrix, np.eye(2) + 1j, "X must hold real numbers"),
+            (linalg.as_matrix, [[1.0, 2j]], "X must hold real numbers"),
+            (linalg.as_matrix, [["1", "a"]], "X must hold real numbers"),
+            (linalg.as_matrix, [[1, 2], [3]], "X must hold real numbers"),
+            (linalg.as_vector, np.ones(2, dtype=complex), "X must hold real numbers"),
         ],
     )
     def test_bad_input_rejected(self, convert, value, message):
@@ -233,9 +238,9 @@ def spy_counts(monkeypatch, module, name, get):
     inside = []
     real = getattr(module, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         inside.append(get())
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
     return inside
@@ -256,12 +261,13 @@ class TestBlasThreadPin:
         get = blas_threads()
         before = get()
         eigh = spy_counts(monkeypatch, np.linalg, "eigh", get)
-        cholesky = spy_counts(monkeypatch, np.linalg, "cholesky", get)
+        others = [spy_counts(monkeypatch, np.linalg, name, get)
+                  for name in ("cholesky", "inv", "eigvalsh")]
         detect("pkde", planted_36, CONFIG)
-        assert (eigh, cholesky) == ([1], [1, 1])
+        assert (eigh, others) == ([1], [[], [], []])
         assert get() == before
         detect("mahalanobis", planted_36, CONFIG)
-        assert (eigh, cholesky) == ([1, 1], [1, 1])
+        assert (eigh, others) == ([1, 1], [[], [], []])
         assert get() == before
 
     def test_count_restored_when_eigh_raises(self, monkeypatch, planted_36):
@@ -290,14 +296,22 @@ class TestBlasThreadPin:
         assert inside == [1, 1]
 
     def test_pkde_factorizations_on_one_thread(self, monkeypatch):
-        # The bandwidth and the kernel sum's whitening each factor H once;
-        # a threaded call there would wake OpenBLAS threads that then spin
-        # on the cores the kernel-sum workers need.
+        # PKDE's one factorization is the covariance's eigh, on one thread: a
+        # threaded call would wake OpenBLAS threads that then spin on the
+        # cores the kernel-sum workers need. Its bandwidth is diagonal, so
+        # nothing factors H and no KdeModel or Bandwidth is built; the dense
+        # route afterwards shows that the spies see them.
         get = blas_threads()
-        inside = spy_counts(monkeypatch, np.linalg, "cholesky", get)
+        names = ("eigh", "cholesky", "inv", "eigvalsh")
+        calls = {name: spy_counts(monkeypatch, np.linalg, name, get) for name in names}
+        for cls in (kde.KdeModel, kde.Bandwidth):
+            calls[cls.__name__] = spy_counts(monkeypatch, cls, "__init__", get)
         X = np.random.default_rng(14).standard_normal((200, 4))
         detect("pkde", X, DetectorConfig(contamination=0.05))
-        assert inside == [1, 1]
+        assert calls == {"eigh": [1], "cholesky": [], "inv": [], "eigvalsh": [],
+                         "KdeModel": [], "Bandwidth": []}
+        kde.fit_kde(X, kde.scott_bandwidth(np.eye(4), 200))
+        assert all(len(calls[name]) == 1 for name in calls if name != "eigh")
 
     def test_bound_pass_pins_itself(self, monkeypatch):
         # Called directly, outside detect's pin, the certified top-K's bound

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ class TestSweep:
     def test_empty_grid_rejected(self, planted_dataset):
         with pytest.raises(InvalidInputError, match="contamination grid is empty"):
             sweep(["pkde"], planted_dataset, [])
+
+    @pytest.mark.parametrize(
+        "grid, repeats, message",
+        [
+            ([0.05], 1.5, "repeats must be an integer, got 1.5"),
+            ([0.05], True, "repeats must be an integer, got True"),
+            (["0.2"], 1, "contamination grid value must be a real number, got '0.2'"),
+            ([0.05, True], 1, "contamination grid value must be a real number, got True"),
+        ],
+    )
+    def test_counts_and_fractions_type_checked(self, planted_dataset, grid, repeats, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            sweep(["pkde"], planted_dataset, grid, repeats=repeats)
 
     def test_zero_repeats_rejected(self, planted_dataset):
         with pytest.raises(InvalidInputError, match="repeats must be >= 1"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateDuplicatesError, InvalidInputError
-from .linalg import as_matrix, budget_rows, lift, row_blocks
+from .linalg import as_matrix, budget_rows, check_int, lift, row_blocks
 from .pca import fit_pca, project
 
 # The Mahalanobis ridge, relative to the mean eigenvalue.
@@ -58,8 +58,7 @@ def knn_table(X, k: int) -> NeighborTable:
     """
     A = as_matrix(X)
     n, d = A.shape
-    if not 1 <= k <= n - 1:
-        raise InvalidInputError(f"k={k} out of range [1, {n - 1}]")
+    check_int(k, "k", 1, n - 1)
     lifted, swap = lift(A - A.mean(axis=0))  # lifted[i, swap] @ lifted[j] = -d²/2
     sq = -2.0 * lifted[:, d + 1]  # ‖c‖²
     if not np.isfinite(4.0 * sq.max()):  # 4 max‖c‖² bounds every d² below
@@ -133,9 +132,7 @@ def lof_score(X, k: int) -> np.ndarray:
     Scores near 1 mean density comparable to the neighborhood.
     """
     A = as_matrix(X)
-    n = A.shape[0]
-    if not 2 <= k <= n - 1:
-        raise InvalidInputError(f"k={k} out of range [2, {n - 1}]")
+    check_int(k, "k", 2, A.shape[0] - 1)
     table = knn_table(A, k)
     k_dist = table.distances[:, k - 1]
     reach = np.maximum(k_dist[table.indices], table.distances)

@@ -22,6 +22,7 @@ from .datasets import (
 from .detector import DETECTOR_IDS, DetectorConfig, detect
 from .errors import DataError, InvalidInputError, NumericalError
 from .kde import BANDWIDTH_RULES
+from .linalg import check_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,8 +201,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise InvalidInputError("repeats must be >= 1")
+    check_int(args.repeats, "repeats", 1)
     names = [d.strip() for d in args.detectors.split(",") if d.strip()]
     if not names:
         raise InvalidInputError("the detector list is empty")

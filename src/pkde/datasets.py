@@ -64,8 +64,9 @@ class SynthSpec:
             raise InvalidInputError(
                 f"unknown kind {self.kind!r}; known: {', '.join(SYNTH_KINDS)}"
             )
-        for name in ("n_normal", "n_outlier", "dim", "seed"):
+        for name in ("n_normal", "n_outlier", "dim"):
             check_int(getattr(self, name), name)
+        check_int(self.seed, "seed", 0)
         for name in ("rho", "distance", "separation", "variance_ratio"):
             value = getattr(self, name)
             check_real(value, name)
@@ -73,8 +74,6 @@ class SynthSpec:
                 raise InvalidInputError(f"{name} must be finite, got {value}")
         if self.n_normal < 1 or self.dim < 1:
             raise InvalidInputError("n_normal and dim must be positive")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.n_outlier < 0 or self.n_outlier >= self.n_normal:
             raise InvalidInputError("n_outlier must be in [0, n_normal)")
         if self.kind != "gaussian-planted" and self.n_outlier != 0:

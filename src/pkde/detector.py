@@ -18,7 +18,9 @@ import numpy as np
 from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
 from .kde import BANDWIDTH_RULES, _loo_top_k, _scott_scale, _Whitened
-from .linalg import _one_blas_thread, as_matrix, check_int, check_real, lowest_k, pow2_scale
+from .linalg import (
+    _as_float64, _one_blas_thread, as_matrix, check_int, check_real, lowest_k, pow2_scale,
+)
 from .pca import choose_dim, fit_pca, project
 
 
@@ -31,28 +33,16 @@ class DetectorConfig:
     neighbors: int = 10  # k for the kNN-distance and LOF baselines
 
     def __post_init__(self):
-        check_real(self.contamination, "contamination")
-        if not 0.0 < self.contamination <= 0.5:
-            raise InvalidInputError(
-                f"contamination must be in (0, 0.5], got {self.contamination}"
-            )
-        check_real(self.variance_threshold, "variance_threshold")
-        if not 0.0 < self.variance_threshold <= 1.0:
-            raise InvalidInputError(
-                f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
-            )
+        check_real(self.contamination, "contamination", 0.5)
+        check_real(self.variance_threshold, "variance_threshold", 1.0)
         if self.fixed_dim is not None:
-            check_int(self.fixed_dim, "fixed_dim")
-            if self.fixed_dim < 1:
-                raise InvalidInputError(f"fixed_dim must be >= 1, got {self.fixed_dim}")
+            check_int(self.fixed_dim, "fixed_dim", 1)
         if self.bandwidth_rule not in BANDWIDTH_RULES:
             raise InvalidInputError(
                 f"bandwidth_rule must be {' or '.join(map(repr, BANDWIDTH_RULES))}, "
                 f"got {self.bandwidth_rule!r}"
             )
-        check_int(self.neighbors, "neighbors")
-        if self.neighbors < 1:
-            raise InvalidInputError(f"neighbors must be >= 1, got {self.neighbors}")
+        check_int(self.neighbors, "neighbors", 1)
 
 
 @dataclass(frozen=True)
@@ -73,12 +63,10 @@ def top_k_select(scores, k: int) -> np.ndarray:
     """Binary labels marking the k largest scores, as the first k of
     np.argsort(-scores, kind="stable") would: boundary ties go to the lower
     index and NaN scores come last."""
-    s = np.asarray(scores, dtype=np.float64)
+    s = _as_float64(scores, "scores")
     if s.ndim != 1:
         raise InvalidInputError("scores must be a 1-D vector")
-    check_int(k, "k")
-    if not 1 <= k <= s.shape[0]:
-        raise InvalidInputError(f"k={k} out of range [1, {s.shape[0]}]")
+    check_int(k, "k", 1, s.shape[0])
     labels = np.zeros(s.shape[0], dtype=np.int64)
     labels[lowest_k(-s, k)] = 1
     return labels

@@ -69,8 +69,7 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     A = as_matrix(S, "S")
     if A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"covariance must be square, got {A.shape}")
-    if n < 2:
-        raise InvalidInputError(f"bandwidth needs n >= 2 samples, got {n}")
+    check_int(n, "n", 2)
     if rule not in BANDWIDTH_RULES:
         raise InvalidInputError(f"unknown bandwidth rule {rule!r}")
     d = A.shape[0]
@@ -116,7 +115,8 @@ def gaussian_kernel(x, bw: Bandwidth) -> float:
     d = bw.H.shape[0]
     if v.shape[0] != d:
         raise InvalidInputError(f"x has length {v.shape[0]}, bandwidth is {d}-dim")
-    quad = max(float(v @ bw.H_inv @ v), 0.0)
+    z = v @ _whitener(bw)
+    quad = float(z @ z)
     return float(np.exp(-0.5 * d * _LOG_2PI - 0.5 * bw.log_det_H - 0.5 * quad))
 
 
@@ -142,11 +142,20 @@ class _Whitened:
         self.B, self.swap = lift(Z)
 
 
+def _whitener(bw: Bandwidth) -> np.ndarray:
+    """W, the Cholesky factor of H_inv, so that ‖Wᵀv‖² = vᵀ H_inv v. A
+    bandwidth that is not positive definite raises SingularBandwidthError."""
+    try:
+        return np.linalg.cholesky(bw.H_inv)
+    except np.linalg.LinAlgError:
+        raise SingularBandwidthError("bandwidth matrix is not positive definite") from None
+
+
 def _whiten(model: KdeModel, Q=None):
     """(the model's samples as a _Whitened, Q whitened alike or None), with
-    z = Wᵀ(x - mean), W the Cholesky factor of H_inv."""
+    z = Wᵀ(x - mean), W = _whitener(bandwidth)."""
     shift = model.samples.mean(axis=0)
-    W = np.linalg.cholesky(model.bandwidth.H_inv)
+    W = _whitener(model.bandwidth)
     wh = _Whitened((model.samples - shift) @ W, model.bandwidth.log_det_H)
     return wh, None if Q is None else (Q - shift) @ W
 
@@ -399,9 +408,7 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
 def _loo_top_k(wh: _Whitened, k: int, offset: float):
     """log_density_loo_top_k from the lifted samples alone."""
     n = wh.n
-    check_int(k, "k")
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k={k} out of range [1, {n}]")
+    check_int(k, "k", 1, n)
     out = None if 4 * k > n else _log_local_bounds(wh)  # replaced where summed
     if out is not None:
         exact = np.zeros(n, dtype=bool)

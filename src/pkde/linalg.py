@@ -213,17 +213,24 @@ def as_matrix(X, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def check_int(value, name: str) -> None:
-    """Reject a value that is not an integer; numpy integers pass, bools do not."""
+def check_int(value, name: str, lo=None, hi=None) -> None:
+    """Reject a value that is not an integer (numpy integers pass, bools do
+    not), or that lies below lo or, when hi is given too, outside [lo, hi]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise InvalidInputError(f"{name}={value} out of range [{lo}, {hi}]")
+    if lo is not None and value < lo:
+        raise InvalidInputError(f"{name} must be >= {lo}, got {value}")
 
 
-def check_real(value, name: str) -> None:
-    """Reject a value that is not a real number; numpy floats and integers
-    pass, bools do not."""
+def check_real(value, name: str, hi=None) -> None:
+    """Reject a value that is not a real number (numpy floats and integers
+    pass, bools do not), or, when hi is given, that lies outside (0, hi]."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    if hi is not None and not 0.0 < value <= hi:
+        raise InvalidInputError(f"{name} must be in (0, {hi:g}], got {value}")
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:

@@ -95,12 +95,8 @@ def sweep(
     if not grid:
         raise InvalidInputError("the contamination grid is empty")
     for c in grid:
-        check_real(c, "contamination grid value")
-        if not 0.0 < c <= 0.5:
-            raise InvalidInputError("contamination grid values must be in (0, 0.5]")
-    check_int(repeats, "repeats")
-    if repeats < 1:
-        raise InvalidInputError("repeats must be >= 1")
+        check_real(c, "contamination grid value", 0.5)
+    check_int(repeats, "repeats", 1)
     detectors = list(detectors)
     if not detectors:
         raise InvalidInputError("the detector list is empty")

@@ -9,7 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, center_columns, covariance, rank_of, sym_eigen
+from .linalg import (
+    as_matrix, center_columns, check_int, check_real, covariance, rank_of, sym_eigen,
+)
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,7 @@ def fit_pca(X) -> PcaModel:
 def choose_dim(model: PcaModel, variance_threshold: float) -> int:
     """Smallest m whose leading components explain at least the threshold
     fraction of total variance. Constant data (zero variance) yields 1."""
-    if not 0.0 < variance_threshold <= 1.0:
-        raise InvalidInputError(
-            f"variance_threshold must be in (0, 1], got {variance_threshold}"
-        )
+    check_real(variance_threshold, "variance_threshold", 1.0)
     if model.total_variance == 0.0:
         return 1
     cumulative = np.cumsum(model.explained_ratio)
@@ -77,8 +76,5 @@ def project(model: PcaModel, X, m: int) -> np.ndarray:
         raise InvalidInputError(
             f"data has {A.shape[1]} columns but the model was fit on {d}"
         )
-    if not 1 <= m <= model.components.shape[1]:
-        raise InvalidInputError(
-            f"m={m} out of range [1, {model.components.shape[1]}]"
-        )
+    check_int(m, "m", 1, model.components.shape[1])
     return (A - model.mean) @ model.components[:, :m]

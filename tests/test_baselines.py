@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,10 +116,14 @@ class TestKnnTable:
         with pytest.raises(DataError):
             knn_table(X * 1e200, 3)
 
-    @pytest.mark.parametrize("k", [0, 10])
+    @pytest.mark.parametrize("k", [0, 10, 2.0, True, "3"])
     def test_k_out_of_range(self, k):
-        with pytest.raises(InvalidInputError):
-            knn_table(np.zeros((10, 2)) + np.arange(10)[:, None], k)
+        X = np.zeros((10, 2)) + np.arange(10)[:, None]
+        form = (f"k={k} out of range [1, 9]" if type(k) is int
+                else f"k must be an integer, got {k!r}")
+        for score in (knn_table, knn_dist_score):
+            with pytest.raises(InvalidInputError, match=re.escape(form)):
+                score(X, k)
 
     def test_two_blocks_match_dense_reference(self, monkeypatch):
         # One worker takes 1_000_000 // 2100 = 476 rows per block, two take
@@ -273,10 +279,12 @@ class TestLofScore:
         )
         assert str(DegenerateDuplicatesError([4, 7])).endswith("at 2 indices [4, 7]")
 
-    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("k", [1, 10, 2.0, 2.5, True, "3"])
     def test_k_out_of_range(self, k):
         X = np.arange(20.0).reshape(10, 2)
-        with pytest.raises(InvalidInputError, match=rf"k={k} out of range \[2, 9\]"):
+        form = (f"k={k} out of range [2, 9]" if type(k) is int
+                else f"k must be an integer, got {k!r}")
+        with pytest.raises(InvalidInputError, match=re.escape(form)):
             lof_score(X, k)
 
     def test_permutation_invariance(self):

@@ -618,7 +618,7 @@ class TestBench:
             ["bench", "-i", str(data), "--label-column", "label", "--repeats", "0"]
         )
         assert rc == 1
-        assert "repeats must be >= 1" in capsys.readouterr().err
+        assert "repeats must be >= 1, got 0" in capsys.readouterr().err
 
     def test_empty_detector_list_exit_1(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

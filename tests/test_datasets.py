@@ -103,6 +103,9 @@ class TestGenSynthetic:
             ("gaussian-planted", "distance", "3", "distance must be a real number, got '3'"),
             ("dual-density", "separation", None, "separation must be a real number, got None"),
             ("dual-density", "variance_ratio", [0.5], r"variance_ratio must be a real number, got \[0.5\]"),
+            ("gaussian", "seed", 2.0, "seed must be an integer, got 2.0"),
+            ("gaussian", "seed", True, "seed must be an integer, got True"),
+            ("gaussian", "seed", "3", "seed must be an integer, got '3'"),
         ],
     )
     def test_bad_field(self, kind, field, value, message):

@@ -65,14 +65,21 @@ class TestTopKSelect:
         expected[order[:k]] = 1
         assert np.array_equal(labels, expected)
 
-    @pytest.mark.parametrize("k", [0, 5, 2.0, True])
+    @pytest.mark.parametrize("k", [0, 5, 2.0, True, "3"])
     def test_k_out_of_range(self, k):
-        with pytest.raises(InvalidInputError):
+        form = (f"k={k} out of range [1, 3]" if type(k) is int
+                else f"k must be an integer, got {k!r}")
+        with pytest.raises(InvalidInputError, match=re.escape(form)):
             top_k_select([1.0, 2.0, 3.0], k)
 
     def test_scores_must_be_1d(self):
         with pytest.raises(InvalidInputError, match="scores must be a 1-D vector"):
             top_k_select([[1.0, 2.0], [3.0, 4.0]], 1)
+
+    @pytest.mark.parametrize("scores", [[1j, 2.0, 3.0], ["a", 2.0]])
+    def test_scores_must_be_real(self, scores):
+        with pytest.raises(InvalidInputError, match="scores must hold real numbers"):
+            top_k_select(scores, 1)
 
     @given(
         st.lists(
@@ -443,14 +450,17 @@ class TestDetect:
 
 
 class TestDetectorConfig:
-    @pytest.mark.parametrize("c", [0.0, -0.1, 0.6])
+    @pytest.mark.parametrize("c", [0.0, -0.1, 0.6, 2.0])
     def test_bad_contamination(self, c):
-        with pytest.raises(InvalidInputError):
+        form = f"contamination must be in (0, 0.5], got {c}"
+        with pytest.raises(InvalidInputError, match=re.escape(form)):
             DetectorConfig(contamination=c)
 
     def test_bad_threshold(self):
-        with pytest.raises(InvalidInputError):
-            DetectorConfig(contamination=0.1, variance_threshold=1.2)
+        for t in (1.2, 2.0, 0.0):
+            form = f"variance_threshold must be in (0, 1], got {t}"
+            with pytest.raises(InvalidInputError, match=re.escape(form)):
+                DetectorConfig(contamination=0.1, variance_threshold=t)
 
     def test_bad_rule(self):
         with pytest.raises(InvalidInputError):
@@ -463,6 +473,8 @@ class TestDetectorConfig:
             ("contamination", True),
             ("variance_threshold", True),
             ("variance_threshold", None),
+            ("contamination", "3"),
+            ("variance_threshold", "3"),
         ],
     )
     def test_fraction_not_a_real_number(self, field, value):
@@ -476,7 +488,8 @@ class TestDetectorConfig:
             DetectorConfig(contamination=0.1, **{field: 0})
 
     @pytest.mark.parametrize("field", ["fixed_dim", "neighbors"])
-    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("value", [1.5, True, 2.0, "3"])
     def test_count_not_an_integer(self, field, value):
-        with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got {value}"):
+        form = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(InvalidInputError, match=re.escape(form)):
             DetectorConfig(contamination=0.1, **{field: value})

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,8 +81,13 @@ class TestScottBandwidth:
         assert np.allclose(bw.H, factor * np.eye(2))
 
     def test_n1_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="n must be >= 2, got 1"):
             scott_bandwidth(np.eye(3), 1)
+
+    @pytest.mark.parametrize("n", [2.0, 2.5, True, "3"])
+    def test_n_not_an_integer(self, n):
+        with pytest.raises(InvalidInputError, match=re.escape(f"n must be an integer, got {n!r}")):
+            scott_bandwidth(np.eye(3), n)
 
     @pytest.mark.parametrize(
         "S, rule, message",
@@ -233,6 +239,26 @@ class TestFitKde:
     def test_bad_samples_rejected(self, samples, message):
         with pytest.raises(InvalidInputError, match=message):
             fit_kde(samples, make_bandwidth(np.eye(2)))
+
+    @pytest.mark.parametrize("H", [-np.eye(2), np.diag([1.0, -1.0])], ids=["-I", "diag(1,-1)"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            log_density_loo,
+            lambda model: log_density_all(model, np.ones((1, 2))),
+            lambda model: density(model, np.ones(2)),
+            lambda model: log_density_loo_top_k(model, 1),
+            lambda model: gaussian_kernel(np.ones(2), model.bandwidth),
+        ],
+        ids=["loo", "all", "density", "top_k", "kernel"],
+    )
+    def test_indefinite_bandwidth_rejected(self, H, call):
+        # H is its own inverse; the dense route whitens by a Cholesky
+        # factor of H_inv, which an indefinite H does not have.
+        bw = Bandwidth(H=H, H_inv=H, log_det_H=0.0, scott_factor=1.0)
+        model = fit_kde(np.random.default_rng(30).standard_normal((5, 2)), bw)
+        with pytest.raises(SingularBandwidthError, match="not positive definite"):
+            call(model)
 
 
 class TestLogDensityAll:
@@ -690,8 +716,10 @@ class TestLogDensityLooTopK:
 
     def test_k_out_of_range(self):
         model = scott_model(np.random.default_rng(62).standard_normal((10, 2)))
-        for k in (0, 11, 2.0, True):
-            with pytest.raises(InvalidInputError):
+        for k in (0, 11, 2.0, True, "3"):
+            form = (f"k={k} out of range [1, 10]" if type(k) is int
+                    else f"k must be an integer, got {k!r}")
+            with pytest.raises(InvalidInputError, match=re.escape(form)):
                 log_density_loo_top_k(model, k)
 
     def test_leaves_depend_only_on_values(self):

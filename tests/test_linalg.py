@@ -1,4 +1,5 @@
 import ctypes
+import re
 import sys
 import threading
 import time
@@ -37,6 +38,42 @@ class TestAsMatrix:
     def test_bad_input_rejected(self, convert, value, message):
         with pytest.raises(InvalidInputError, match=message):
             convert(value, "X")
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "check, value, bounds, message",
+        [
+            (linalg.check_int, 2.0, (), "x must be an integer, got 2.0"),
+            (linalg.check_int, True, (0, 5), "x must be an integer, got True"),
+            (linalg.check_int, "3", (0,), "x must be an integer, got '3'"),
+            (linalg.check_int, 6, (1, 5), "x=6 out of range [1, 5]"),
+            (linalg.check_int, np.int64(0), (1, 5), "x=0 out of range [1, 5]"),
+            (linalg.check_int, -1, (0,), "x must be >= 0, got -1"),
+            (linalg.check_real, True, (), "x must be a real number, got True"),
+            (linalg.check_real, "3", (0.5,), "x must be a real number, got '3'"),
+            (linalg.check_real, 2.0, (0.5,), "x must be in (0, 0.5], got 2.0"),
+            (linalg.check_real, 0.0, (1.0,), "x must be in (0, 1], got 0.0"),
+            (linalg.check_real, np.nan, (1.0,), "x must be in (0, 1], got nan"),
+        ],
+    )
+    def test_rejected(self, check, value, bounds, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            check(value, "x", *bounds)
+
+    @pytest.mark.parametrize(
+        "check, value, bounds",
+        [
+            (linalg.check_int, -7, ()),
+            (linalg.check_int, 2, (2,)),
+            (linalg.check_int, np.int32(5), (1, 5)),
+            (linalg.check_real, -3, ()),
+            (linalg.check_real, 0.5, (0.5,)),
+            (linalg.check_real, np.float32(1e-30), (1.0,)),
+        ],
+    )
+    def test_accepted(self, check, value, bounds):
+        check(value, "x", *bounds)
 
 
 class TestCenterColumns:

@@ -116,6 +116,12 @@ class TestSweep:
             ([0.05], True, "repeats must be an integer, got True"),
             (["0.2"], 1, "contamination grid value must be a real number, got '0.2'"),
             ([0.05, True], 1, "contamination grid value must be a real number, got True"),
+            ([0.05], 2.0, "repeats must be an integer, got 2.0"),
+            ([0.05], "3", "repeats must be an integer, got '3'"),
+            ([0.05], 0, "repeats must be >= 1, got 0"),
+            ([2.0], 1, "contamination grid value must be in (0, 0.5], got 2.0"),
+            ([0.05, 0.6], 1, "contamination grid value must be in (0, 0.5], got 0.6"),
+            (["3"], 1, "contamination grid value must be a real number, got '3'"),
         ],
     )
     def test_counts_and_fractions_type_checked(self, planted_dataset, grid, repeats, message):
@@ -123,7 +129,7 @@ class TestSweep:
             sweep(["pkde"], planted_dataset, grid, repeats=repeats)
 
     def test_zero_repeats_rejected(self, planted_dataset):
-        with pytest.raises(InvalidInputError, match="repeats must be >= 1"):
+        with pytest.raises(InvalidInputError, match="repeats must be >= 1, got 0"):
             sweep(["pkde"], planted_dataset, [0.05], repeats=0)
 
     def test_options_are_detector_config_fields(self, planted_dataset, monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -87,9 +89,13 @@ class TestChooseDim:
         # The ratios fall 1e-9 short of 1, more than the 1e-12 slack.
         assert choose_dim(_model([0.7, 0.2, 0.1 - 1e-9]), 1.0) == 3
 
-    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5])
+    @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.5, 2.0, True, "3"])
     def test_bad_threshold(self, threshold):
-        with pytest.raises(InvalidInputError):
+        if type(threshold) is float:
+            form = f"variance_threshold must be in (0, 1], got {threshold}"
+        else:
+            form = f"variance_threshold must be a real number, got {threshold!r}"
+        with pytest.raises(InvalidInputError, match=re.escape(form)):
             choose_dim(_model([1.0]), threshold)
 
 
@@ -146,5 +152,8 @@ class TestProject:
 
     def test_m_out_of_range(self):
         model = fit_pca([[-1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(InvalidInputError):
-            project(model, [[1.0, 2.0]], 3)
+        for m in (3, 0, 2.0, True, "3"):
+            form = (f"m={m} out of range [1, 2]" if type(m) is int
+                    else f"m must be an integer, got {m!r}")
+            with pytest.raises(InvalidInputError, match=re.escape(form)):
+                project(model, [[1.0, 2.0]], m)

@@ -99,12 +99,10 @@ def knn_table(X, k: int) -> NeighborTable:
         keep = cand >= (pad[:, width - k] - slack[s:e])[row]
         row, flat = row[keep], flat[keep]
         col = flat - row * n
-        d2 = np.zeros(row.size)
-        for a in A.T:
-            diff = a[row + s] - a[col]
-            diff *= diff
-            d2 += diff
-        dist = np.sqrt(d2, out=d2)
+        diff = A[row + s]
+        diff -= A[col]
+        diff *= diff
+        dist = np.sqrt(np.cumsum(diff, axis=1, out=diff)[:, -1])
         order = np.lexsort((col, dist, row))
         first = np.searchsorted(row, np.arange(r))
         pick = order[first[:, None] + np.arange(k)]

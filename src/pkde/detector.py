@@ -21,7 +21,7 @@ from .kde import BANDWIDTH_RULES, _loo_top_k, _scott_scale, _Whitened
 from .linalg import (
     _as_float64, _one_blas_thread, as_matrix, check_int, check_real, lowest_k, pow2_scale,
 )
-from .pca import choose_dim, fit_pca, project
+from .pca import choose_dim, fit_pca
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def _pkde_samples(X, config: DetectorConfig):
         raise DegenerateDataError("all columns are constant; nothing to score")
     wanted = config.fixed_dim or choose_dim(model, config.variance_threshold)
     m = min(wanted, model.rank)  # numerically null directions always go
-    reduced = project(model, A, m)
+    reduced = np.subtract(A, model.mean, out=A) @ model.components[:, :m]
     del A
     h = _scott_scale(reduced.shape[0], m, config.bandwidth_rule) * model.eigenvalues[:m]
     reduced -= reduced.mean(axis=0)

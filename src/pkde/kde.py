@@ -340,17 +340,17 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
 
     The bound of a row is its self-masked kernel sum over its own leaf and
     the neighbouring leaf on each side (_leaf_order, on the whitened rows):
-    every kernel term is positive, so a partial sum is a lower bound. In
-    one leaf-ordered copy of the rows, leaf j's rows make one product with
-    the slice of leaves j and j+1, in a buffer of 2 * (largest leaf)^2
-    floats, with the self terms on its diagonal. Its row sums go to leaf
-    j's rows and its column sums over leaf j+1 to leaf j+1's rows, both as
-    products with a ones vector. The leaves go in order on the calling
-    thread, with OpenBLAS held to one thread. Each product depends only on
-    its two leaves, and a row adds at most two of them, so a bound depends
-    on neither the worker count nor the tile shape. A sum below
-    _UNDERFLOW_SUM counts as 0. The fallback counts each row's window of
-    three leaves against the n(n-1)/2 pairs of the full sum.
+    every kernel term is positive, so a partial sum is a lower bound. Leaf
+    j's rows make one product with the rows of leaves j and j+1, gathered
+    through the leaf order, in a buffer of 2 * (largest leaf)^2 floats,
+    with the self terms on its diagonal. Its row sums go to leaf j's rows
+    and its column sums over leaf j+1 to leaf j+1's rows, both as products
+    with a ones vector. The leaves go in order on the calling thread, with
+    OpenBLAS held to one thread. Each product depends only on its two
+    leaves, and a row adds at most two of them, so a bound depends on
+    neither the worker count nor the tile shape. A sum below _UNDERFLOW_SUM
+    counts as 0. The fallback counts each row's window of three leaves
+    against the n(n-1)/2 pairs of the full sum.
     """
     n, m = wh.n, wh.d
     order, starts = _leaf_order(wh.B[:, :m])
@@ -361,14 +361,14 @@ def _log_local_bounds(wh: _Whitened) -> np.ndarray | None:
     if int(sizes @ (hi - lo)) >= n * (n - 1) // 2:
         return None
 
-    B = wh.B[order]
-    sums = np.zeros(n)  # in leaf order, like B
+    sums = np.zeros(n)  # in leaf order
     buf = np.empty(2 * int(sizes.max()) ** 2)
     ones = np.ones(2 * int(sizes.max()))
     with _one_blas_thread():
         for j in leaves:
             a, b, c = starts[j], starts[j + 1], starts[min(j + 2, leaves.size)]
-            k = _kernels(B[a:b][:, wh.swap], B[a:c], buf)  # leaves j and j + 1
+            rows = wh.B[order[a:c]]  # leaves j and j + 1
+            k = _kernels(rows[: b - a][:, wh.swap], rows, buf)
             np.fill_diagonal(k, 0.0)  # the self terms
             sums[a:b] += k @ ones[: c - a]
             sums[b:c] += ones[: b - a] @ k[:, b - a :]

@@ -191,10 +191,12 @@ def pow2_scale(A: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _as_float64(x, name: str) -> np.ndarray:
     """x as a float64 array. Complex input, whose imaginary part a cast
-    would drop, and non-numeric or ragged input raise InvalidInputError."""
+    would drop, None entries, which it would turn into NaN, and non-numeric
+    or ragged input raise InvalidInputError."""
     try:
         a = np.asarray(x)
-        if a.dtype.kind != "c":
+        has_none = a.dtype == object and any(v is None for v in a.flat)
+        if a.dtype.kind != "c" and not has_none:
             return a.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -76,7 +76,7 @@ class TestTopKSelect:
         with pytest.raises(InvalidInputError, match="scores must be a 1-D vector"):
             top_k_select([[1.0, 2.0], [3.0, 4.0]], 1)
 
-    @pytest.mark.parametrize("scores", [[1j, 2.0, 3.0], ["a", 2.0]])
+    @pytest.mark.parametrize("scores", [[1j, 2.0, 3.0], ["a", 2.0], [None, 1.0, 2.0]])
     def test_scores_must_be_real(self, scores):
         with pytest.raises(InvalidInputError, match="scores must hold real numbers"):
             top_k_select(scores, 1)
@@ -277,18 +277,39 @@ class TestPkdeFitScore:
         if k == n or ranked[k] - ranked[k - 1] > 4 * tol.max():  # no near-tie at the cut
             assert np.array_equal(top_k_select(-got, k), top_k_select(-want, k))
 
+    @pytest.mark.parametrize("rule", kde.BANDWIDTH_RULES)
+    @pytest.mark.parametrize("n_normal, n_outlier, dim", [(19000, 1000, 8), (6113, 322, 36)])
+    def test_samples_match_project_route(self, n_normal, n_outlier, dim, rule):
+        # The tall-8 and cli-sat benchmark shapes. Centring the scaled copy in
+        # place and multiplying by the kept components is pca.project's
+        # product, so the lifted samples are the same bit for bit.
+        X = planted(seed=0, n_normal=n_normal, n_outlier=n_outlier, dim=dim).X
+        config = DetectorConfig(contamination=0.05, bandwidth_rule=rule)
+        wh, m, p = detector._pkde_samples(X, config)
+        A, q = linalg.pow2_scale(X)
+        model = fit_pca(A)
+        assert (m, p) == (min(choose_dim(model, 0.90), model.rank), q)
+        reduced = project(model, A, m)
+        h = kde._scott_scale(reduced.shape[0], m, rule) * model.eigenvalues[:m]
+        reduced -= reduced.mean(axis=0)
+        reduced /= np.sqrt(h)
+        ref = kde._Whitened(reduced, float(np.sum(np.log(h))))
+        assert np.array_equal(wh.B, ref.B)
+        assert wh.const == ref.const
+
     @pytest.mark.parametrize(
-        "n_normal, n_outlier, dim, bound", [(19000, 1000, 8, 3.45), (6113, 322, 36, 3.5)]
+        "n_normal, n_outlier, dim, bound", [(19000, 1000, 8, 3.2), (6113, 322, 36, 2.4)]
     )
     def test_peak_memory_frees_each_stage(
         self, monkeypatch, traced_peak, n_normal, n_outlier, dim, bound
     ):
         # The tall-8 and cli-sat benchmark shapes. Each n-row copy dies with
-        # its stage: the scaled copy before the whitening, the projection
-        # before the kernel sums, and the leaf order permutes its one
-        # transposed copy in place. At most three n-row arrays live at once:
-        # the lifted samples, their leaf-ordered copy and the bound pass's
-        # 1 MB; whitening scales the projection in place before it is lifted.
+        # its stage: the scaled copy, centred in place, before the whitening,
+        # the projection before the kernel sums, and the leaf order permutes
+        # its one transposed copy in place; the bound pass gathers each pair
+        # of leaves through the order instead of copying the lifted samples.
+        # On tall-8 the peak is round 1 of the exact sums: the lifted samples
+        # (1.25x), two workers' 1 MB tiles (1.64x) and the bounds (0.125x).
         monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
         X = planted(seed=0, n_normal=n_normal, n_outlier=n_outlier, dim=dim).X
         result, peak = traced_peak(detect, "pkde", X, DetectorConfig(contamination=0.05))

@@ -1,8 +1,11 @@
 import ctypes
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -33,11 +36,18 @@ class TestAsMatrix:
             (linalg.as_matrix, [["1", "a"]], "X must hold real numbers"),
             (linalg.as_matrix, [[1, 2], [3]], "X must hold real numbers"),
             (linalg.as_vector, np.ones(2, dtype=complex), "X must hold real numbers"),
+            (linalg.as_matrix, [[1.0, None]], "X must hold real numbers"),
+            (linalg.as_vector, [1.0, None], "X must hold real numbers"),
+            (linalg.as_vector, [None, 1.0, 2.0], "X must hold real numbers"),
         ],
     )
     def test_bad_input_rejected(self, convert, value, message):
         with pytest.raises(InvalidInputError, match=message):
             convert(value, "X")
+
+    def test_object_array_of_reals_converts(self):
+        value = np.array([Decimal("1.5"), 2, 3.0], dtype=object)
+        assert linalg.as_vector(value).tolist() == [1.5, 2.0, 3.0]
 
 
 class TestArgumentChecks:
@@ -409,6 +419,17 @@ def two_workers(monkeypatch):
 
 
 class TestRowBlocks:
+    def test_import_leaves_thread_pool_unloaded(self):
+        # The pool is imported on the first pooled loop; at module level it
+        # and the logging it pulls in would add about 6 ms to every import.
+        # A fresh process, since this one has loaded both already.
+        code = ("import pkde, pkde.cli, sys; "
+                "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
+
     def test_blocks_in_order_with_own_buffers(self, two_workers):
         caller = threading.get_ident()
         threads = set()

@@ -103,7 +103,7 @@ def _worker_count() -> int:
 def budget_rows(row_floats: int) -> int:
     """Rows of row_floats float64s per block such that the buffers of all
     _worker_count() workers together stay within _BLOCK_FLOATS (at least
-    one row)."""
+    one row). Rows of as many float32s fit the same height in half that."""
     return max(1, _BLOCK_FLOATS // (_worker_count() * row_floats))
 
 
@@ -112,7 +112,8 @@ def row_blocks(n_rows: int, rows: int, buf_floats: int, work):
     range(n_rows) (the last one may be shorter), in block order.
 
     The caller sets the block height and the size of buf, the buffer of
-    buf_floats float64s that each worker owns. The workers are
+    buf_floats float64s that each worker owns; work may view it as another
+    dtype, as the neighbour table's float32 blocks do. The workers are
     _worker_count() threads, and OpenBLAS is held to one thread for the
     whole loop, so the threads run whole blocks side by side instead of
     splitting each BLAS call. buf is the block's own until work returns,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkde import linalg
+from pkde import baselines, linalg
 from pkde.baselines import (
     knn_dist_score,
     knn_table,
@@ -172,6 +172,14 @@ class TestKnnTable:
     def test_matches_difference_form_oracle(self, kind, n, d, data):
         k = data.draw(st.integers(min_value=1, max_value=min(n - 1, 12)), label="k")
         X = oracle_case(kind, n, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        # At any power-of-two scale the float32 screen sees the same rows;
+        # far down the float64 distances underflow, far up they overflow.
+        X = np.ldexp(X, data.draw(st.integers(min_value=-600, max_value=600), label="scale exponent"))
+        C = X - X.mean(axis=0)
+        if not np.einsum("ij,ij->i", C, C).max() <= np.finfo(float).max / 4:
+            with pytest.raises(DataError):
+                knn_table(X, k)
+            return
         rows = data.draw(st.integers(min_value=1, max_value=n), label="block rows")
         workers = data.draw(st.sampled_from([1, 2]), label="workers")
         with pytest.MonkeyPatch.context() as mp:
@@ -196,13 +204,50 @@ class TestKnnTable:
                 assert np.array_equal(table.indices, idx)
                 assert np.array_equal(table.distances, dist)
 
+    @pytest.mark.parametrize("sorted_rows", [False, True])
+    def test_float64_finish_where_screen_too_coarse(self, monkeypatch, sorted_rows):
+        # Tight clusters far from the centroid: every cluster column passes
+        # the float32 margin, so the table is finished in float64, at the
+        # first block (clusters everywhere) or at the first cluster block
+        # (Gaussian rows sorted before a cluster).
+        rng = np.random.default_rng(58)
+        if sorted_rows:
+            X = np.vstack([rng.standard_normal((300, 8)), 3.0 + 1e-3 * rng.standard_normal((300, 8))])
+        else:
+            X = oracle_case("offset", 600, 8, rng)
+        monkeypatch.setattr(linalg, "_BLOCK_FLOATS", 2 * 50 * 600)
+        monkeypatch.setattr(linalg, "_worker_count", lambda: 2)
+        loops = []
+
+        def recorded(n_rows, rows, buf_floats, work):
+            loops.append((n_rows, rows, buf_floats))
+            return linalg.row_blocks(n_rows, rows, buf_floats, work)
+
+        monkeypatch.setattr(baselines, "row_blocks", recorded)
+        table = knn_table(X, 5)
+        # Blocks of 50 rows: float32 estimates in 15 000 floats, float64 in
+        # 30 000, from row 300 or from the first row.
+        assert loops == [(600, 50, 15_000), (300 if sorted_rows else 600, 50, 30_000)]
+        idx, dist = difference_form_neighbors(X, 5)
+        assert np.array_equal(table.indices, idx)
+        assert np.array_equal(table.distances, dist)
+
     def test_peak_memory_below_half_dense_matrix(self, traced_peak):
         rng = np.random.default_rng(52)
         X = rng.standard_normal((3000, 4))
         _, peak = traced_peak(knn_table, X, 10)
         assert peak < 8 * 3000**2 / 2
-        # The block buffers hold 1_000_000 floats (8 MB); each block adds a
-        # mask and a sample an eighth of its size, and the table is 0.5 MB.
+        # The float32 block buffers hold 1_000_000 floats (4 MB); each block
+        # adds a mask and a sample an eighth of its size, and the table is
+        # 0.5 MB. Measured with two workers: 6.5-6.6 MB.
+        assert peak < 7.6e6
+
+    def test_peak_memory_of_float64_finish(self, traced_peak):
+        # Clusters far from the centroid run the float64 blocks, whose
+        # buffers hold 1_000_000 floats (8 MB): no more than before the
+        # float32 screen. Measured with two workers: 9.8-10.9 MB.
+        X = oracle_case("offset", 3000, 4, np.random.default_rng(57))
+        _, peak = traced_peak(knn_table, X, 10)
         assert peak < 1.5 * 8 * 1_000_000
 
 

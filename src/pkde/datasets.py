@@ -21,8 +21,10 @@ from .linalg import as_matrix, check_int, check_real
 
 SYNTH_KINDS = ("gaussian", "gaussian-cov", "dual-density", "gaussian-planted")
 
-# write_csv formats and writes this many rows at a time.
-_WRITE_ROWS = 1024
+# write_csv formats and writes about this many cells at a time (at least one
+# row): each cell becomes a Python float and a string before it is written, so
+# the budget, not the row width, bounds those objects.
+_WRITE_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -90,45 +92,46 @@ class SynthSpec:
 
 def gen_synthetic(spec: SynthSpec) -> Dataset:
     """Generate the dataset described by spec; same spec -> identical bytes.
-    A shape larger than numpy can address raises MemoryError, as one it
-    cannot allocate does."""
+    X is allocated once and each kind draws, scales and shifts its rows in
+    place, so no second copy of X is made. A shape larger than numpy can
+    address raises MemoryError, as one it cannot allocate does."""
     rng = np.random.default_rng(spec.seed)
     n, d = spec.n_normal, spec.dim
     rows = n + spec.n_outlier
     if int(rows) * int(d) * 8 > np.iinfo(np.intp).max:
         raise MemoryError(f"a {rows} x {d} float64 array is larger than numpy can address")
+    X = np.empty((rows, d))
+    labels = np.zeros(rows, dtype=np.int64)
 
     if spec.kind == "gaussian":
-        X = rng.standard_normal((n, d))
-        labels = np.zeros(n, dtype=np.int64)
+        rng.standard_normal(out=X)
     elif spec.kind == "gaussian-cov":
         # Shared-factor construction: every feature pair has correlation rho.
+        # IEEE addition commutes, so sqrt(1 - rho) * own + sqrt(rho) * shared
+        # formed in place has the bytes of the sum in the other order.
         shared = rng.standard_normal((n, 1))
-        own = rng.standard_normal((n, d))
-        X = math.sqrt(spec.rho) * shared + math.sqrt(1.0 - spec.rho) * own
-        labels = np.zeros(n, dtype=np.int64)
+        rng.standard_normal(out=X)
+        X *= math.sqrt(1.0 - spec.rho)
+        X += math.sqrt(spec.rho) * shared
     elif spec.kind == "dual-density":
-        n_dense = (2 * n) // 3
-        n_sparse = n - n_dense
+        dense, sparse = X[: (2 * n) // 3], X[(2 * n) // 3 :]
         center = np.zeros(d)
         center[0] = spec.separation
-        dense = rng.standard_normal((n_dense, d)) + center
-        sparse = (
-            math.sqrt(spec.variance_ratio) * rng.standard_normal((n_sparse, d))
-            - center
-        )
-        X = np.vstack([dense, sparse])
-        labels = np.zeros(n, dtype=np.int64)
-    else:  # gaussian-planted
-        normal = rng.standard_normal((n, d))
-        raw = rng.standard_normal((spec.n_outlier, d))
-        shell = spec.distance * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        X = np.vstack([normal, shell])
-        labels = np.concatenate(
-            [np.zeros(n, dtype=np.int64), np.ones(spec.n_outlier, dtype=np.int64)]
-        )
+        rng.standard_normal(out=dense)
+        dense += center
+        rng.standard_normal(out=sparse)
+        sparse *= math.sqrt(spec.variance_ratio)
+        sparse -= center
+    else:  # gaussian-planted: outliers on a shell of radius distance
+        shell = X[n:]
+        rng.standard_normal(out=X[:n])
+        rng.standard_normal(out=shell)
+        norm = np.linalg.norm(shell, axis=1, keepdims=True)  # of the raw draws
+        shell *= spec.distance
+        shell /= norm
+        labels[n:] = 1
 
-    name = f"{spec.kind}-n{X.shape[0]}-d{d}-s{spec.seed}"
+    name = f"{spec.kind}-n{rows}-d{d}-s{spec.seed}"
     return Dataset(X=X, labels=labels, name=name)
 
 
@@ -271,19 +274,22 @@ def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset as CSV, rows from X.tolist(); labels, when present, go
     to a final column named "label". Each row is its cells' reprs joined by
     commas, the bytes csv_text would write for the same header and rows.
-    Rows go out _WRITE_ROWS at a time, so no copy of the whole file is held.
-    If a write fails once the file is open, the partial file is removed."""
+    Rows go out in chunks of about _WRITE_CELLS cells (at least one row), so
+    the Python floats and strings held at once stay a few hundred kB at any
+    width and no copy of the whole file is made. If a write fails once the
+    file is open, the partial file is removed."""
     header = [f"f{j}" for j in range(dataset.d)]
     if dataset.labels is not None:
         header.append("label")
+    step = max(1, _WRITE_CELLS // len(header))
     fh = open(path, "w", newline="", encoding="utf-8")
     try:
         with fh:
             fh.write(",".join(header) + "\n")
-            for s in range(0, dataset.n, _WRITE_ROWS):
-                rows = dataset.X[s : s + _WRITE_ROWS].tolist()
+            for s in range(0, dataset.n, step):
+                rows = dataset.X[s : s + step].tolist()
                 if dataset.labels is not None:
-                    labels = dataset.labels[s : s + _WRITE_ROWS]
+                    labels = dataset.labels[s : s + step]
                     rows = [row + [int(label)] for row, label in zip(rows, labels)]
                 fh.write("".join([",".join(map(repr, row)) + "\n" for row in rows]))
     except BaseException:

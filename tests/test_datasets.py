@@ -78,6 +78,64 @@ class TestGenSynthetic:
         with pytest.raises(InvalidInputError):
             SynthSpec("gaussian-planted", n_normal=5, n_outlier=5)
 
+    @staticmethod
+    def stacked(spec):
+        """Reference construction of each kind: separate draws, combined out
+        of place and stacked. gen_synthetic must give the same bytes."""
+        rng = np.random.default_rng(spec.seed)
+        n, d = spec.n_normal, spec.dim
+        zeros = np.zeros(n, dtype=np.int64)
+        if spec.kind == "gaussian":
+            return rng.standard_normal((n, d)), zeros
+        if spec.kind == "gaussian-cov":
+            shared = rng.standard_normal((n, 1))
+            own = rng.standard_normal((n, d))
+            return np.sqrt(spec.rho) * shared + np.sqrt(1.0 - spec.rho) * own, zeros
+        if spec.kind == "dual-density":
+            n_dense = (2 * n) // 3
+            center = np.zeros(d)
+            center[0] = spec.separation
+            dense = rng.standard_normal((n_dense, d)) + center
+            sparse = (
+                np.sqrt(spec.variance_ratio) * rng.standard_normal((n - n_dense, d))
+                - center
+            )
+            return np.vstack([dense, sparse]), zeros
+        normal = rng.standard_normal((n, d))
+        raw = rng.standard_normal((spec.n_outlier, d))
+        shell = spec.distance * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        labels = np.concatenate([zeros, np.ones(spec.n_outlier, dtype=np.int64)])
+        return np.vstack([normal, shell]), labels
+
+    @pytest.mark.parametrize("kind", datasets.SYNTH_KINDS)
+    def test_same_bytes_as_stacked_construction(self, kind):
+        specs = [
+            dict(n_normal=2, dim=1, seed=0),
+            dict(n_normal=97, dim=13, seed=5, rho=0.9, separation=-2.5,
+                 variance_ratio=3.0, distance=0.37),
+            dict(n_normal=300, dim=40, seed=11, rho=0.0, variance_ratio=1e-3),
+        ]
+        for fields in specs:
+            if kind == "gaussian-planted":
+                fields["n_outlier"] = fields["n_normal"] // 19
+            spec = SynthSpec(kind, **fields)
+            X, labels = self.stacked(spec)
+            ds = gen_synthetic(spec)
+            assert np.array_equal(ds.X, X), fields
+            assert np.array_equal(ds.labels, labels), fields
+
+    @pytest.mark.parametrize("kind", datasets.SYNTH_KINDS)
+    def test_peak_memory_one_copy(self, kind, traced_peak):
+        # 200 x 4000 floats are 6.4 MB. Built from separate draws and stacked,
+        # gaussian-cov peaked at 3 times that and the others at 2.
+        n_outlier = 10 if kind == "gaussian-planted" else 0
+        spec = SynthSpec(kind, n_normal=200 - n_outlier, n_outlier=n_outlier,
+                         dim=4000, seed=1)
+        gen_synthetic(SynthSpec(kind, n_normal=2, dim=1))  # numpy.random's first-call set-up
+        ds, peak = traced_peak(gen_synthetic, spec)
+        assert ds.X.shape == (200, 4000)
+        assert peak <= 1.1 * ds.X.nbytes
+
     @pytest.mark.parametrize(
         "kind, field, value, message",
         [
@@ -355,16 +413,29 @@ class TestWriteCsv:
 
     @pytest.mark.parametrize("labels", [None, np.array([0, 1, 1])])
     def test_same_bytes_as_csv_text(self, tmp_path, labels):
-        X = np.array([[-0.0, 1e-300, 5e-324], [1e300, 0.1, -2.5], [1.0, 123456789.0, 1e16]])
-        ds = Dataset(X=X, labels=labels, name="t")
-        path = tmp_path / "w.csv"
-        write_csv(ds, path)
-        header = [f"f{j}" for j in range(3)]
-        rows = X.tolist()
-        if labels is not None:
-            header.append("label")
-            rows = [row + [int(v)] for row, v in zip(rows, labels)]
-        assert path.read_bytes() == csv_text(header, rows).encode("utf-8")
+        special = np.array([[-0.0, 1e-300, 5e-324], [1e300, 0.1, -2.5], [1.0, 123456789.0, 1e16]])
+        cells = datasets._WRITE_CELLS
+        # 3 x 3; several full chunks and a partial last one; rows wider than
+        # a chunk's cell budget, one row a chunk
+        for shape in [(3, 3), (3 * cells // 4 + 5, 3), (3, cells + 1)]:
+            X = np.resize(special, shape)
+            rows_labels = None if labels is None else np.resize(labels, shape[0])
+            ds = Dataset(X=X, labels=rows_labels, name="t")
+            path = tmp_path / "w.csv"
+            write_csv(ds, path)
+            header = [f"f{j}" for j in range(shape[1])]
+            rows = X.tolist()
+            if labels is not None:
+                header.append("label")
+                rows = [row + [int(v)] for row, v in zip(rows, rows_labels)]
+            assert path.read_bytes() == csv_text(header, rows).encode("utf-8"), shape
+
+    def test_peak_memory_bounded(self, tmp_path, traced_peak):
+        # 200 x 4000 floats are 6.4 MB. Formatted 1024 rows at a time, all of
+        # them as Python floats and strings, the write peaked at 9 times that.
+        ds = gen_synthetic(SynthSpec("gaussian", n_normal=200, dim=4000, seed=2))
+        _, peak = traced_peak(write_csv, ds, tmp_path / "w.csv")
+        assert peak < ds.X.nbytes / 4
 
     def test_unlabeled_write(self, tmp_path):
         ds = Dataset(X=np.array([[1.0, 2.0]]), labels=None, name="t")

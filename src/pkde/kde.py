@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidInputError, SingularBandwidthError
 from .linalg import (
     _one_blas_thread, as_matrix, as_vector, check_int, lift, lowest_k, rank_of, row_blocks,
+    sym_eigen,
 )
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -65,6 +66,7 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     rule "scott-squared" applies the square of the factor instead, the
     conventional covariance-form variant of the same rule. A numerically
     null direction of (S + Sᵀ)/2 (linalg.rank_of) raises SingularBandwidthError.
+    H_inv and log det H come from the same eigendecomposition (linalg.sym_eigen).
     """
     A = as_matrix(S, "S")
     if A.shape[0] != A.shape[1]:
@@ -75,19 +77,15 @@ def scott_bandwidth(S, n: int, rule: str = "scott") -> Bandwidth:
     d = A.shape[0]
     scale = _scott_scale(n, d, rule)
     S_sym = 0.5 * (A + A.T)
-    H = scale * S_sym
-    try:
-        L = np.linalg.cholesky(H) if rank_of(np.linalg.eigvalsh(S_sym)) == d else None
-    except np.linalg.LinAlgError:
-        L = None
-    if L is None:
+    eig = sym_eigen(S_sym)
+    if rank_of(eig.eigenvalues) != d:
         raise SingularBandwidthError(
             "bandwidth matrix is singular or near-singular; reduce the "
             "dimension to drop the degenerate direction"
         )
-    L_inv = np.linalg.inv(L)
-    log_det = float(2.0 * np.sum(np.log(np.diag(L))))
-    return Bandwidth(H=H, H_inv=L_inv.T @ L_inv, log_det_H=log_det, scott_factor=scale)
+    h = scale * eig.eigenvalues  # the eigenvalues of H
+    W = eig.eigenvectors / np.sqrt(h)  # W @ W.T is exactly symmetric
+    return Bandwidth(scale * S_sym, W @ W.T, float(np.sum(np.log(h))), scale)
 
 
 def _scott_scale(n: int, d: int, rule: str) -> float:
@@ -143,12 +141,13 @@ class _Whitened:
 
 
 def _whitener(bw: Bandwidth) -> np.ndarray:
-    """W, the Cholesky factor of H_inv, so that ‖Wᵀv‖² = vᵀ H_inv v. A
-    bandwidth that is not positive definite raises SingularBandwidthError."""
-    try:
-        return np.linalg.cholesky(bw.H_inv)
-    except np.linalg.LinAlgError:
-        raise SingularBandwidthError("bandwidth matrix is not positive definite") from None
+    """W = V diag(√g) Vᵀ, the symmetric root of H_inv = V diag(g) Vᵀ (sym_eigen): ‖Wᵀv‖²
+    = vᵀ H_inv v whichever eigenvectors LAPACK picks for a tied g, and W = diag(√H_inv)
+    bit for bit for a diagonal H_inv. Not positive definite: SingularBandwidthError."""
+    eig = sym_eigen(bw.H_inv, "H_inv")
+    if not eig.eigenvalues[-1] > 0.0:
+        raise SingularBandwidthError("bandwidth matrix is not positive definite")
+    return (eig.eigenvectors * np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.T
 
 
 def _whiten(model: KdeModel, Q=None):

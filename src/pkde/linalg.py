@@ -291,20 +291,20 @@ def rank_of(eigenvalues) -> int:
     return int(np.count_nonzero(vals > _NULL_REL * vals.max()))
 
 
-def sym_eigen(S) -> SymEigen:
+def sym_eigen(S, name: str = "S") -> SymEigen:
     """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``).
 
     Deterministic: identical input yields bit-identical output. Negative
     eigenvalues within roundoff of zero (relative to the trace) are clamped
     to 0 so PSD inputs stay PSD. A LAPACK failure raises NumericalError.
     """
-    A = as_matrix(S, "S")
+    A = as_matrix(S, name)
     n, m = A.shape
     if n != m:
         raise InvalidInputError(f"eigensolver needs a square matrix, got {A.shape}")
     asym = float(np.max(np.abs(A - A.T)))
     if asym > _SYMMETRY_TOL * float(np.max(np.abs(A))):
-        raise InvalidInputError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+        raise InvalidInputError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
 
     trace = float(np.trace(A))
     try:

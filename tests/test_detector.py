@@ -253,7 +253,7 @@ class TestPkdeFitScore:
     @settings(max_examples=40, deadline=None)
     def test_column_scale_matches_dense_whitening(self, n, d, tiny, rule, seed):
         # Reference: the public dense route on the same projection, which
-        # factors H and whitens by the Cholesky factor of its inverse. With
+        # factors H by sym_eigen and whitens by the square root of H⁻¹. With
         # tiny, the last direction's variance is that fraction of the others':
         # just above linalg.rank_of's 1e-12, so kept, or below it, so dropped.
         rng = np.random.default_rng(seed)

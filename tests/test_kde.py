@@ -179,6 +179,16 @@ class TestGaussianKernel:
         assert abs(expected - 0.058550) < 5e-6
         assert abs(gaussian_kernel([1.0, 1.0], bw) - expected) < 1e-12
 
+    def test_correlated_bandwidth(self):
+        # A full H: the whitener's eigenvectors are no permutation of the axes.
+        rng = np.random.default_rng(33)
+        A = rng.standard_normal((6, 3))
+        H = A.T @ A / 5 + 0.5 * np.eye(3)
+        norm = math.sqrt((2 * math.pi) ** 3 * np.linalg.det(H))
+        for x in rng.standard_normal((3, 3)):
+            expected = math.exp(-0.5 * x @ np.linalg.solve(H, x)) / norm
+            assert gaussian_kernel(x, make_bandwidth(H)) == pytest.approx(expected, rel=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             gaussian_kernel([1.0, 2.0], make_bandwidth([[1.0]]))
@@ -228,6 +238,20 @@ class TestDensity:
             density(model, [0.0, 1.0])
 
 
+# Every route that whitens by the bandwidth, on a 2-dimensional model.
+bandwidth_calls = pytest.mark.parametrize(
+    "call",
+    [
+        log_density_loo,
+        lambda model: log_density_all(model, np.ones((1, 2))),
+        lambda model: density(model, np.ones(2)),
+        lambda model: log_density_loo_top_k(model, 1),
+        lambda model: gaussian_kernel(np.ones(2), model.bandwidth),
+    ],
+    ids=["loo", "all", "density", "top_k", "kernel"],
+)
+
+
 class TestFitKde:
     @pytest.mark.parametrize(
         "samples, message",
@@ -241,23 +265,29 @@ class TestFitKde:
             fit_kde(samples, make_bandwidth(np.eye(2)))
 
     @pytest.mark.parametrize("H", [-np.eye(2), np.diag([1.0, -1.0])], ids=["-I", "diag(1,-1)"])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            log_density_loo,
-            lambda model: log_density_all(model, np.ones((1, 2))),
-            lambda model: density(model, np.ones(2)),
-            lambda model: log_density_loo_top_k(model, 1),
-            lambda model: gaussian_kernel(np.ones(2), model.bandwidth),
-        ],
-        ids=["loo", "all", "density", "top_k", "kernel"],
-    )
+    @bandwidth_calls
     def test_indefinite_bandwidth_rejected(self, H, call):
-        # H is its own inverse; the dense route whitens by a Cholesky
-        # factor of H_inv, which an indefinite H does not have.
+        # H is its own inverse; the dense route whitens by the symmetric
+        # square root of H_inv, which an indefinite H does not have.
         bw = Bandwidth(H=H, H_inv=H, log_det_H=0.0, scott_factor=1.0)
         model = fit_kde(np.random.default_rng(30).standard_normal((5, 2)), bw)
         with pytest.raises(SingularBandwidthError, match="not positive definite"):
+            call(model)
+
+    @pytest.mark.parametrize(
+        "entry, value, message",
+        [((0, 1), 0.501, "H_inv is not symmetric"), ((1, 1), np.nan, "H_inv contains NaN")],
+        ids=["asymmetric", "nan"],
+    )
+    @bandwidth_calls
+    def test_bad_inverse_rejected(self, entry, value, message, call):
+        # A hand-built H_inv goes through sym_eigen's input checks: one
+        # off-diagonal entry moved by 1e-3, or a NaN, is rejected.
+        H_inv = np.array([[2.0, 0.5], [0.5, 1.0]])
+        H_inv[entry] = value
+        bw = Bandwidth(H=np.eye(2), H_inv=H_inv, log_det_H=0.0, scott_factor=1.0)
+        model = fit_kde(np.random.default_rng(30).standard_normal((5, 2)), bw)
+        with pytest.raises(InvalidInputError, match=message):
             call(model)
 
 

@@ -1,5 +1,7 @@
+import ast
 import ctypes
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -264,6 +266,36 @@ class TestSymEigen:
         with pytest.raises(NumericalError, match="did not converge"):
             sym_eigen(np.eye(3))
 
+    def test_only_factorization_in_pkde(self):
+        # Every matrix factorization in pkde is sym_eigen's eigh: no other
+        # numpy.linalg name appears in src/pkde but LinAlgError, which
+        # sym_eigen catches, and the datasets' norm. A bare np.linalg or an
+        # import from numpy.linalg could hide a call, so it counts as "?".
+        uses = set()
+        for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                where, nodes = getattr(top, "name", None), list(ast.walk(top))
+                bare = sum(map(is_np_linalg, nodes))
+                for node in nodes:
+                    if isinstance(node, ast.Attribute) and is_np_linalg(node.value):
+                        uses.add((path.name, where, node.attr))
+                        bare -= 1
+                    elif isinstance(node, ast.Import):
+                        bare += any(a.name.startswith("numpy.linalg") for a in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                        bare += any(f"{node.module}.{a.name}".startswith("numpy.linalg")
+                                    for a in node.names)
+                if bare:
+                    uses.add((path.name, where, "?"))
+        allowed = {("linalg.py", "eigh"), ("linalg.py", "LinAlgError"), ("datasets.py", "norm")}
+        assert {(file, name) for file, _, name in uses} <= allowed, uses
+        assert {where for _, where, name in uses if name == "eigh"} == {"sym_eigen"}
+
+
+def is_np_linalg(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
 
 @pytest.fixture
 def fresh_blas_lookup():
@@ -347,7 +379,7 @@ class TestBlasThreadPin:
         # threaded call would wake OpenBLAS threads that then spin on the
         # cores the kernel-sum workers need. Its bandwidth is diagonal, so
         # nothing factors H and no KdeModel or Bandwidth is built; the dense
-        # route afterwards shows that the spies see them.
+        # route afterwards builds one of each and factors S by eigh alone.
         get = blas_threads()
         names = ("eigh", "cholesky", "inv", "eigvalsh")
         calls = {name: spy_counts(monkeypatch, np.linalg, name, get) for name in names}
@@ -358,7 +390,8 @@ class TestBlasThreadPin:
         assert calls == {"eigh": [1], "cholesky": [], "inv": [], "eigvalsh": [],
                          "KdeModel": [], "Bandwidth": []}
         kde.fit_kde(X, kde.scott_bandwidth(np.eye(4), 200))
-        assert all(len(calls[name]) == 1 for name in calls if name != "eigh")
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "eigh": 2, "cholesky": 0, "inv": 0, "eigvalsh": 0, "KdeModel": 1, "Bandwidth": 1}
 
     def test_bound_pass_pins_itself(self, monkeypatch):
         # Called directly, outside detect's pin, the certified top-K's bound

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, DegenerateDuplicatesError, InvalidInputError
 from .linalg import as_matrix, budget_rows, check_int, lift, pow2_scale, row_blocks
-from .pca import fit_pca, project
+from .pca import _fit_centred
 
 # The Mahalanobis ridge, relative to the mean eigenvalue.
 _RIDGE_EPS = 1e-8
@@ -217,15 +217,17 @@ def mahalanobis_score(X) -> np.ndarray:
     The ridge also ranks the rows at n <= d, where the distance over the
     non-null components alone is (n - 1)^2 / n for every row.
     """
-    A = as_matrix(X)
+    A = as_matrix(X).copy()
     if A.shape[0] < 2:
         raise InvalidInputError("need at least 2 rows")
-    model = fit_pca(A)
+    model = _fit_centred(A)
     d = A.shape[1]
     vals = model.eigenvalues
     if model.rank < d:
         trace = model.total_variance
         # S + ridge*I has the same eigenvectors, with every eigenvalue shifted.
         vals = vals + _RIDGE_EPS * (trace / d if trace > 0.0 else 1.0)
-    Z = project(model, A, d) / np.sqrt(vals)
-    return np.sum(Z * Z, axis=1)
+    Z = A @ model.components
+    Z /= np.sqrt(vals)
+    Z *= Z
+    return np.sum(Z, axis=1)

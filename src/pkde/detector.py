@@ -21,7 +21,7 @@ from .kde import BANDWIDTH_RULES, _loo_top_k, _scott_scale, _Whitened
 from .linalg import (
     _as_float64, _one_blas_thread, as_matrix, check_int, check_real, lowest_k, pow2_scale,
 )
-from .pca import choose_dim, fit_pca
+from .pca import _fit_centred, choose_dim
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ def _pkde_samples(X, config: DetectorConfig):
     Only this frame holds the scaled copy and the projection, freed on return.
     """
     A, p = pow2_scale(X)
-    model = fit_pca(A)
+    model = _fit_centred(A)
     if model.rank == 0:
         raise DegenerateDataError("all columns are constant; nothing to score")
     wanted = config.fixed_dim or choose_dim(model, config.variance_threshold)
     m = min(wanted, model.rank)  # numerically null directions always go
-    reduced = np.subtract(A, model.mean, out=A) @ model.components[:, :m]
+    reduced = A @ model.components[:, :m]
     del A
     h = _scott_scale(reduced.shape[0], m, config.bandwidth_rule) * model.eigenvalues[:m]
     reduced -= reduced.mean(axis=0)

@@ -399,7 +399,10 @@ def log_density_loo_top_k(model: KdeModel, k: int, offset: float = 0.0):
 
     Everything is exact, and equal to log_density_loo, when k > n/4, when
     the bounds would cost as much as the full sum, or when round 2 would make
-    more than n/4 rows exact; then the symmetric full sum is returned.
+    more than n/4 rows exact; then the symmetric full sum is returned. Before
+    round 1, its row with the highest bound is summed alone: the rows outside
+    round 1 with bounds below that sum minus the slack are all in round 2, so
+    when k plus their count exceeds n/4 the full sum comes without round 1.
     """
     return _loo_top_k(_whiten(model)[0], k, offset)
 
@@ -413,12 +416,19 @@ def _loo_top_k(wh: _Whitened, k: int, offset: float):
         exact = np.zeros(n, dtype=bool)
         first = lowest_k(out, k)
         exact[first] = True
-        out[first] = _log_kernel_sum(wh, None, rows=first)
-        t = float(out[first].max())
-        t += 1e-12 * max(1.0, abs(t), abs(offset))
-        second = np.flatnonzero((out <= t) & ~exact)
-        if 4 * (k + second.size) <= n:
-            out[second] = _log_kernel_sum(wh, None, rows=second)
-            exact[second] = True
-            return out, exact
+
+        def slack(t):
+            return 1e-12 * max(1.0, abs(t), abs(offset))
+
+        # t is at least the exact sum of round 1's row with the highest bound,
+        # so the rows outside round 1 with bounds below that sum go to round 2.
+        low = float(_log_kernel_sum(wh, None, rows=first[-1:])[0])
+        if 4 * (k + np.count_nonzero(out[~exact] < low - slack(low))) <= n:
+            out[first] = _log_kernel_sum(wh, None, rows=first)
+            t = float(out[first].max())
+            second = np.flatnonzero((out <= t + slack(t)) & ~exact)
+            if 4 * (k + second.size) <= n:
+                out[second] = _log_kernel_sum(wh, None, rows=second)
+                exact[second] = True
+                return out, exact
     return _log_kernel_sum(wh, None), np.ones(n, dtype=bool)

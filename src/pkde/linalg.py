@@ -1,4 +1,4 @@
-"""Dense linear algebra for the detector: centering, covariance, a LAPACK
+"""Dense linear algebra for the detector: covariance, a LAPACK
 eigensolver for symmetric matrices, the exact power-of-two rescale of every
 detect input, the row lift and row-block scheduler of the kernel sum and
 neighbour table, and the stable selection of the k lowest values.
@@ -257,13 +257,6 @@ class SymEigen:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def center_columns(X) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract each column's mean; returns (centered matrix, mean vector)."""
-    A = as_matrix(X)
-    mean = A.mean(axis=0)
-    return A - mean, mean
 
 
 def covariance(X_centered) -> np.ndarray:

@@ -9,9 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import (
-    as_matrix, center_columns, check_int, check_real, covariance, rank_of, sym_eigen,
-)
+from .linalg import as_matrix, check_int, check_real, covariance, rank_of, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -37,9 +35,16 @@ def fit_pca(X) -> PcaModel:
     A = as_matrix(X)
     if A.shape[0] < 2:
         raise InvalidInputError("PCA needs at least 2 rows")
-    centered, mean = center_columns(A)
-    S = covariance(centered)
-    eig = sym_eigen(S)
+    return _fit_centred(A.copy())
+
+
+def _fit_centred(A: np.ndarray) -> PcaModel:
+    """fit_pca of A, a checked float64 matrix of at least 2 rows that the
+    caller owns, centred in place: afterwards A @ components[:, :m] is
+    project(model, A_before, m) bit for bit."""
+    mean = A.mean(axis=0)
+    A -= mean
+    eig = sym_eigen(covariance(A))
     total = float(np.sum(eig.eigenvalues))
     if total > 0.0:
         ratio = eig.eigenvalues / total

@@ -1,11 +1,12 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pkde import detector, kde, linalg
+from pkde import detector, kde, linalg, pca
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.detector import (
     DETECTOR_IDS,
@@ -278,12 +279,18 @@ class TestPkdeFitScore:
             assert np.array_equal(top_k_select(-got, k), top_k_select(-want, k))
 
     @pytest.mark.parametrize("rule", kde.BANDWIDTH_RULES)
-    @pytest.mark.parametrize("n_normal, n_outlier, dim", [(19000, 1000, 8), (6113, 322, 36)])
-    def test_samples_match_project_route(self, n_normal, n_outlier, dim, rule):
-        # The tall-8 and cli-sat benchmark shapes. Centring the scaled copy in
-        # place and multiplying by the kept components is pca.project's
-        # product, so the lifted samples are the same bit for bit.
-        X = planted(seed=0, n_normal=n_normal, n_outlier=n_outlier, dim=dim).X
+    @pytest.mark.parametrize(
+        "n_normal, n_outlier, dim, distance",
+        [(19000, 1000, 8, 10.0), (6113, 322, 36, 10.0), (2296, 121, 103, 20.0)],
+        ids=["19000-1000-8", "6113-322-36", "2296-121-103"],
+    )
+    def test_samples_match_project_route(self, n_normal, n_outlier, dim, distance, rule):
+        # The tall-8 and cli-sat benchmark shapes, and the yeast_ml8 shape,
+        # where PKDE keeps m < d components. Centring the scaled copy in place
+        # and multiplying by the kept components is pca.project's product, so
+        # the lifted samples are the same bit for bit.
+        X = planted(seed=0, n_normal=n_normal, n_outlier=n_outlier, dim=dim,
+                    distance=distance).X
         config = DetectorConfig(contamination=0.05, bandwidth_rule=rule)
         wh, m, p = detector._pkde_samples(X, config)
         A, q = linalg.pow2_scale(X)
@@ -318,6 +325,28 @@ class TestPkdeFitScore:
 
 
 class TestDetect:
+    @pytest.mark.parametrize("name", ["pkde", "mahalanobis"])
+    def test_pca_front_end_skips_public_pca(self, monkeypatch, name):
+        # PKDE and Mahalanobis centre their own copy once (pca._fit_centred)
+        # and project it themselves: neither pays fit_pca's copy or
+        # project's centred one. Every pkde module's reference is replaced.
+        calls = []
+        for func in (pca.fit_pca, pca.project):
+            def spy(*args, _func=func, **kwargs):
+                calls.append(_func.__name__)
+                return _func(*args, **kwargs)
+
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("pkde"):
+                    for attr, value in list(vars(mod).items()):
+                        if value is func:
+                            monkeypatch.setattr(mod, attr, spy)
+        X = planted(seed=2).X
+        detect(name, X, DetectorConfig(contamination=0.05))
+        assert calls == []
+        pca.project(pca.fit_pca(X), X, 1)
+        assert calls == ["fit_pca", "project"]  # the spies are in place
+
     def test_dispatch_identity(self):
         ds = planted(seed=1)
         cfg = DetectorConfig(contamination=0.05)

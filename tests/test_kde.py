@@ -589,6 +589,19 @@ def gathered_leaf_order(Z):
     return order, np.array(starts + [n])
 
 
+def spy_row_counts(monkeypatch):
+    """The rows of each _log_kernel_sum call, None for the full sum."""
+    calls = []
+    real = kde._log_kernel_sum
+
+    def spy(wh, Q, rows=None):
+        calls.append(None if rows is None else len(rows))
+        return real(wh, Q, rows=rows)
+
+    monkeypatch.setattr(kde, "_log_kernel_sum", spy)
+    return calls
+
+
 class TestLogDensityLooTopK:
     @given(
         st.integers(min_value=1, max_value=1500),
@@ -720,19 +733,25 @@ class TestLogDensityLooTopK:
             assert np.array_equal(out[exact], every[exact])
 
     def test_round_two_overflow_is_full_sum(self, monkeypatch):
-        # Unplanted data: after round 1 more than n/4 rows fail their bound,
-        # and the symmetric full sum replaces every score.
-        calls = []
-        real = kde._log_kernel_sum
-
-        def spy(wh, Q, rows=None):
-            calls.append(None if rows is None else len(rows))
-            return real(wh, Q, rows=rows)
-
-        monkeypatch.setattr(kde, "_log_kernel_sum", spy)
+        # Unplanted data: the lone row summed first does not rule round 1
+        # out, but after round 1 more than n/4 rows fail their bound, and the
+        # symmetric full sum replaces every score.
+        calls = spy_row_counts(monkeypatch)
         model = scott_model(gen_synthetic(SynthSpec("gaussian", 2400, 0, 4, seed=3)).X)
         out, exact = log_density_loo_top_k(model, 120)
-        assert calls == [120, None]
+        assert calls == [1, 120, None]
+        assert exact.all()
+        assert np.array_equal(out, log_density_loo(model))
+
+    def test_overflow_seen_before_round_one(self, monkeypatch):
+        # The tall-8 benchmark shape at contamination 0.2: the bounds of more
+        # than n/4 - k rows lie below the exact sum of the highest-bound row
+        # of round 1, so round 2 would overflow, and the full sum comes
+        # without round 1's k rows.
+        calls = spy_row_counts(monkeypatch)
+        model = planted_model(19000, 1000, 8)
+        out, exact = log_density_loo_top_k(model, 4000)
+        assert calls == [1, None]
         assert exact.all()
         assert np.array_equal(out, log_density_loo(model))
 

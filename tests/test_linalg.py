@@ -16,11 +16,7 @@ from pkde import kde, linalg, pca
 from pkde.datasets import SynthSpec, gen_synthetic
 from pkde.detector import DetectorConfig, detect
 from pkde.errors import DataError, InvalidInputError, NumericalError
-from pkde.linalg import (
-    center_columns,
-    covariance,
-    sym_eigen,
-)
+from pkde.linalg import covariance, sym_eigen
 
 
 class TestAsMatrix:
@@ -88,30 +84,6 @@ class TestArgumentChecks:
         check(value, "x", *bounds)
 
 
-class TestCenterColumns:
-    def test_symmetric_1d(self):
-        centered, mean = center_columns([[1.0], [3.0]])
-        assert np.array_equal(centered, [[-1.0], [1.0]])
-        assert np.array_equal(mean, [2.0])
-
-    def test_zero_mean_unchanged(self):
-        X = np.array([[1.0, -2.0], [-1.0, 2.0]])
-        centered, mean = center_columns(X)
-        assert np.array_equal(centered, X)
-        assert np.array_equal(mean, [0.0, 0.0])
-
-    def test_random_columns_centered(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((5, 3)) * 10
-        centered, mean = center_columns(X)
-        assert mean.shape == (3,)
-        assert np.all(np.abs(centered.mean(axis=0)) < 1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            center_columns(np.empty((0, 3)))
-
-
 class TestCovariance:
     def test_hand_2x2(self):
         S = covariance([[-1.0, 0.0], [1.0, 0.0]])
@@ -148,16 +120,16 @@ class TestCovariance:
         ds = gen_synthetic(
             SynthSpec("gaussian-planted", n_normal=95, n_outlier=5, dim=2, seed=7)
         )
-        centered, _ = center_columns(ds.X * 1e160)
+        X = ds.X * 1e160
         with pytest.raises(DataError):
-            covariance(centered)
+            covariance(X - X.mean(axis=0))
 
     def test_row_permutation_invariance(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((12, 4))
         perm = rng.permutation(12)
-        S1 = covariance(center_columns(X)[0])
-        S2 = covariance(center_columns(X[perm])[0])
+        S1 = covariance(X - X.mean(axis=0))
+        S2 = covariance(X[perm] - X[perm].mean(axis=0))
         assert np.abs(S1 - S2).max() <= 1e-12
 
 

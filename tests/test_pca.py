@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pkde.errors import InvalidInputError
-from pkde.linalg import center_columns, covariance
+from pkde.linalg import covariance
 from pkde.pca import PcaModel, choose_dim, fit_pca, project
 
 
@@ -41,8 +41,32 @@ class TestFitPca:
         model = fit_pca(X)
         from pkde.linalg import sym_eigen
 
-        eig = sym_eigen(covariance(center_columns(X)[0]))
+        eig = sym_eigen(covariance(X - X.mean(axis=0)))
         assert np.array_equal(model.eigenvalues, eig.eigenvalues)
+
+    def test_mean_symmetric_1d(self):
+        model = fit_pca([[1.0], [3.0]])
+        assert np.array_equal(model.mean, [2.0])
+        assert np.array_equal(model.eigenvalues, [2.0])
+
+    def test_zero_mean_input_unchanged(self):
+        # fit_pca centres a copy: the caller's matrix keeps its values.
+        X = np.array([[1.0, -2.0], [-1.0, 2.0]])
+        model = fit_pca(X)
+        assert np.array_equal(model.mean, [0.0, 0.0])
+        assert np.array_equal(X, [[1.0, -2.0], [-1.0, 2.0]])
+
+    def test_mean_is_column_mean(self):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((5, 3)) * 10
+        before = X.copy()
+        model = fit_pca(X)
+        assert np.array_equal(model.mean, X.mean(axis=0))
+        assert np.array_equal(X, before)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInputError):
+            fit_pca(np.empty((0, 3)))
 
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInputError):

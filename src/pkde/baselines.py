@@ -2,8 +2,8 @@
 global Mahalanobis model. kNN and LOF share one exact neighbor table, built
 block-wise by brute force so that memory stays O(block * n).
 
-detector.detect rescales the data by a power of two first; called directly,
-these work at the scale given and can overflow or underflow near 1e±160.
+Each works on its own copy, centred and rescaled by a power of two exactly
+(linalg.pow2_centre), and maps its result back: no scale over- or underflows.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateDuplicatesError, InvalidInputError
-from .linalg import as_matrix, budget_rows, check_int, lift, pow2_scale, row_blocks
+from .errors import DegenerateDuplicatesError, InvalidInputError
+from .linalg import as_matrix, budget_rows, check_int, lift, pow2_centre, pow2_scale, row_blocks
 from .pca import _fit_centred
 
 # The Mahalanobis ridge, relative to the mean eigenvalue.
@@ -26,14 +26,8 @@ _SAMPLE_STRIDE = 8
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SUBNORMAL = np.finfo(np.float64).smallest_subnormal
-_FLOAT_MAX = np.finfo(np.float64).max
 _UNIT_ROUNDOFF32 = float(np.finfo(np.float32).eps) / 2
 _SUBNORMAL32 = float(np.finfo(np.float32).smallest_subnormal)
-
-# knn_table screens in float32 only while 2^-2p float64 subnormals, 2^p the
-# power of two just above its largest centred entry, stay within half a
-# float32 subnormal.
-_SCREEN_MIN_EXP = -462
 
 
 @dataclass(frozen=True)
@@ -56,28 +50,31 @@ def knn_table(X, k: int) -> NeighborTable:
     cancel far from the origin. Only about k columns per row get one.
 
     Blocks come from linalg.row_blocks, as in the kernel sum, and run on its
-    worker threads. In each block one GEMM on the centred rows, lifted to
-    [c, 1, -‖c‖²/2] and [c, -‖c‖²/2, 1], estimates -d²/2 for every pair, and
-    M bounds its rounding error. A row keeps the columns whose estimate is
-    within 2M of the k-th largest in a sample of its columns (every
-    _SAMPLE_STRIDE-th when n is large enough, else all), then those within
-    2M of its own k-th largest estimate; no column that can rank k or
-    better is lost. The survivors are ranked by (exact distance, index).
-    So the table depends neither on the block size nor on the worker count.
+    worker threads, on the rows scaled by 2**-p (linalg.pow2_centre); the
+    distances are multiplied back. In each block one GEMM on the centred
+    rows, lifted to [c, 1, -‖c‖²/2] and [c, -‖c‖²/2, 1], estimates -d²/2
+    for every pair, and M bounds its rounding error. A row keeps the columns
+    whose estimate is within 2M of the k-th largest in a sample of its
+    columns (every _SAMPLE_STRIDE-th when n is large enough, else all), then
+    those within 2M of its own k-th largest estimate; no column that can
+    rank k or better is lost. The survivors are ranked by (exact distance,
+    index). So the table depends neither on the block size nor on the
+    worker count.
 
-    The GEMM runs in float32 on rows scaled by a power of two, into half the
-    buffer a float64 block needs. Where its M is too coarse to screen a
-    block (the first filter keeps more than twice the columns per row that
-    a sharp one keeps, as in a tight cluster far from the centroid), that
-    block and the rest are estimated in float64. Both give the same table.
+    The GEMM runs in float32, into half the buffer a float64 block needs.
+    Where its M is too coarse to screen a block (the first filter keeps
+    more than twice the columns per row that a sharp one keeps, as in a
+    tight cluster far from the centroid), that block and the rest are
+    estimated in float64. Both give the same table.
     """
     A = as_matrix(X)
     n, d = A.shape
     check_int(k, "k", 1, n - 1)
-    lifted, swap = lift(A - A.mean(axis=0))  # lifted[i, swap] @ lifted[j] = -d²/2
+    C, p = pow2_centre(A)
+    lifted, swap = lift(C)  # lifted[i, swap] @ lifted[j] = -d²/2
+    del C
+    A = np.ldexp(A, -p) if p else A  # the rows C was centred from, for exact distances
     sq = -2.0 * lifted[:, d + 1]  # ‖c‖²
-    if not sq.max() <= _FLOAT_MAX / 4:  # 4 max‖c‖² bounds every d² below
-        raise DataError("squared distances overflow float64; rescale the data")
     # slack is 2M. M = 4(d + 2)uN bounds |estimate + D²/2|, D the exact
     # distance below, with u the unit roundoff and N = ‖c_i‖² + max_j ‖c_j‖²,
     # so that d²/2 <= N: the GEMM over d + 2 terms with the rounded lifted
@@ -139,45 +136,33 @@ def knn_table(X, k: int) -> NeighborTable:
             indices[s + shift : e + shift], distances[s + shift : e + shift] = got
         return n
 
-    def screen():
-        """Fill the table from float32 blocks, in half the buffer of a
-        float64 block; return the first row left to do."""
-        # The lift is multiplied by powers of two, exactly, to that of
-        # c' = 2^-p c with max |c'| in [0.5, 1), and rounded to float32 once,
-        # so that at any scale of the data it neither overflows nor
-        # underflows, and N' = 2^-2p N >= 1/4. With u = 2^-24 and s float32's
-        # smallest subnormal, M' = 4(d + 2)(uN' + s) bounds |estimate +
-        # 2^-2p D²/2|. The rounding moves c'_i.c'_j by (2u + u²)‖c'_i‖‖c'_j‖
-        # <= 1.01uN' and the two norms by uN'/2; the float32 GEMM over d + 2
-        # terms, whose absolute products sum to at most 1.01N', errs by
-        # gamma_(d+2) 1.01N' (Higham, Accuracy and Stability of Numerical
-        # Algorithms, 2002, §3.1); the float64 terms above add under 2^-29 of
-        # that. With the rounding of N' and of each float32 threshold that
-        # is below (d + 5)uN'. s covers float32's underflow and, while
-        # p >= _SCREEN_MIN_EXP, that of the float64 norms and difference
-        # form, at most 2^-2p of a float64 subnormal per term.
-        c = lifted[:, :d]
-        p = pow2_scale(np.array([c.min(), c.max()]))[1]  # the exponent for c
-        if p < _SCREEN_MIN_EXP:
-            return 0
-        small = np.multiply(lifted, np.ldexp(1.0, [-p] * d + [0, -2 * p]),
-                            out=np.empty(lifted.shape, np.float32), casting="same_kind")
-        sq = -2.0 * small[:, d + 1]  # ‖c'‖²
-        margin = 8.0 * (d + 2) * (_UNIT_ROUNDOFF32 * (sq + sq.max()) + _SUBNORMAL32)
-        # A sharp screen keeps about stride * k columns per row; keeping more
-        # than twice that, as in a tight cluster far from the centroid, says
-        # that M' is too coarse for the block.
-        work = functools.partial(block, lifted=small, slack=margin, cap=2 * stride * (k + 1))
-        return fill(row_blocks(n, rows, (rows * n + 1) // 2, work))
-
-    s = screen()
+    # The float32 screen. The lift, max |c| in [0.5, 1), is rounded to
+    # float32 once without overflow or underflow, and N >= 1/4. With
+    # u = 2^-24 and s float32's smallest subnormal, M' = 4(d + 2)(uN + s)
+    # bounds |estimate + D²/2|. The rounding moves c_i.c_j by
+    # (2u + u²)‖c_i‖‖c_j‖ <= 1.01uN and the two norms by uN/2; the float32
+    # GEMM over d + 2 terms, whose absolute products sum to at most 1.01N,
+    # errs by gamma_(d+2) 1.01N (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, §3.1); the float64 terms above add under 2^-29 of
+    # that. With the rounding of N and of each float32 threshold that is
+    # below (d + 5)uN. s covers float32's underflow and the float64 one of
+    # the norms and the difference form, at most a float64 subnormal a term.
+    small = lifted.astype(np.float32)
+    sq32 = -2.0 * small[:, d + 1]  # ‖c‖² in float32
+    margin = 8.0 * (d + 2) * (_UNIT_ROUNDOFF32 * (sq32 + sq32.max()) + _SUBNORMAL32)
+    # A sharp screen keeps about stride * k columns per row; keeping more
+    # than twice that, as in a tight cluster far from the centroid, says
+    # that M' is too coarse for the block.
+    work = functools.partial(block, lifted=small, slack=margin, cap=2 * stride * (k + 1))
+    s = fill(row_blocks(n, rows, (rows * n + 1) // 2, work))  # half a float64 buffer
+    del small, work  # not needed by the float64 finish
     if s < n:  # the rest in float64, with blocks of the same height
 
         def rest(a, b, buf):
             return block(a + s, b + s, buf, lifted, slack, n)
 
         fill(row_blocks(n - s, rows, rows * n, rest), s)
-    return NeighborTable(k=k, indices=indices, distances=distances)
+    return NeighborTable(k=k, indices=indices, distances=np.ldexp(distances, p, out=distances))
 
 
 def knn_dist_score(X, k: int) -> np.ndarray:
@@ -194,7 +179,8 @@ def lof_score(X, k: int) -> np.ndarray:
     """
     A = as_matrix(X)
     check_int(k, "k", 2, A.shape[0] - 1)
-    table = knn_table(A, k)
+    # pow2_scale's copy keeps 1/mean_reach in range; LOF's ratios are scale-free.
+    table = knn_table(pow2_scale(A)[0], k)
     k_dist = table.distances[:, k - 1]
     reach = np.maximum(k_dist[table.indices], table.distances)
     mean_reach = reach.mean(axis=1)
@@ -210,24 +196,26 @@ def mahalanobis_score(X) -> np.ndarray:
     the covariance of the full data (outliers included -- a global method).
 
     It is summed in the PCA eigenbasis, sum_j (z_j^2 / lambda_j), so the
-    inverse covariance is never formed, and is scale-free as long as the
-    covariance neither overflows nor underflows.
+    inverse covariance is never formed. It works on the one copy that
+    linalg.pow2_centre makes, so the covariance neither overflows nor
+    underflows at any scale of the data.
     When a direction is numerically null (PcaModel.rank < d), every
     eigenvalue is ridged by eps * trace/d so the score is always defined.
     The ridge also ranks the rows at n <= d, where the distance over the
     non-null components alone is (n - 1)^2 / n for every row.
     """
-    A = as_matrix(X).copy()
+    A = as_matrix(X)
     if A.shape[0] < 2:
         raise InvalidInputError("need at least 2 rows")
-    model = _fit_centred(A)
-    d = A.shape[1]
+    C = pow2_centre(A)[0]
+    model = _fit_centred(C)
+    d = C.shape[1]
     vals = model.eigenvalues
     if model.rank < d:
         trace = model.total_variance
         # S + ridge*I has the same eigenvectors, with every eigenvalue shifted.
         vals = vals + _RIDGE_EPS * (trace / d if trace > 0.0 else 1.0)
-    Z = A @ model.components
+    Z = C @ model.components
     Z /= np.sqrt(vals)
     Z *= Z
     return np.sum(Z, axis=1)

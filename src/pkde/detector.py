@@ -19,7 +19,7 @@ from . import baselines
 from .errors import DegenerateDataError, InvalidInputError, NumericalError
 from .kde import BANDWIDTH_RULES, _loo_top_k, _scott_scale, _Whitened
 from .linalg import (
-    _as_float64, _one_blas_thread, as_matrix, check_int, check_real, lowest_k, pow2_scale,
+    _as_float64, _one_blas_thread, as_matrix, check_int, check_real, lowest_k, pow2_centre,
 )
 from .pca import _fit_centred, choose_dim
 
@@ -82,20 +82,20 @@ def k_from_contamination(contamination: float, n: int) -> int:
 
 def _pkde_samples(X, config: DetectorConfig):
     """(whitened samples, m, p): PKDE's KDE samples, the PCA projection of
-    X * 2**-p onto m components, whitened and lifted (kde._Whitened).
+    (X - mean) * 2**-p (pow2_centre) onto m components, whitened and lifted.
 
     H = diag(h), the projection's covariance diag(eigenvalues[:m]) times the
     Scott factor, so whitening divides each centred column by sqrt(h).
     Only this frame holds the scaled copy and the projection, freed on return.
     """
-    A, p = pow2_scale(X)
-    model = _fit_centred(A)
+    C, p = pow2_centre(X)
+    model = _fit_centred(C)
     if model.rank == 0:
         raise DegenerateDataError("all columns are constant; nothing to score")
     wanted = config.fixed_dim or choose_dim(model, config.variance_threshold)
     m = min(wanted, model.rank)  # numerically null directions always go
-    reduced = A @ model.components[:, :m]
-    del A
+    reduced = C @ model.components[:, :m]
+    del C
     h = _scott_scale(reduced.shape[0], m, config.bandwidth_rule) * model.eigenvalues[:m]
     reduced -= reduced.mean(axis=0)
     reduced /= np.sqrt(h)
@@ -125,26 +125,23 @@ def pkde_fit_score(X, config: DetectorConfig) -> DetectionResult:
 
 
 def _knn_scores(X, config: DetectorConfig):
-    A, p = pow2_scale(X)
-    k = min(config.neighbors, A.shape[0] - 1)
-    return np.ldexp(baselines.knn_dist_score(A, k), p), A.shape[1], None
+    k = min(config.neighbors, X.shape[0] - 1)
+    return baselines.knn_dist_score(X, k), X.shape[1], None
 
 
 def _lof_scores(X, config: DetectorConfig):
     k = min(max(config.neighbors, 2), X.shape[0] - 1)
-    return baselines.lof_score(pow2_scale(X)[0], k), X.shape[1], None
+    return baselines.lof_score(X, k), X.shape[1], None
 
 
 def _mahalanobis_scores(X, config: DetectorConfig):
-    return baselines.mahalanobis_score(pow2_scale(X)[0]), X.shape[1], None
+    return baselines.mahalanobis_score(X), X.shape[1], None
 
 
 # detector id -> (fewest rows, scorer(X, config)). A scorer scores X, the
-# matrix detect() has checked, through its own copy A = X * 2**-p
-# (linalg.pow2_scale: max |A| in [0.5, 1)), made in the scorer so that it
-# can be freed before the scorer returns; detect's frame would hold it to
-# the end. It returns (scores, effective dimension, exact mask or None if
-# all are exact). LOF and Mahalanobis scores do not depend on the scale.
+# matrix detect() has checked, through the centred copy of linalg.pow2_centre,
+# made inside it so that it is freed before the scorer returns. It returns
+# (scores, effective dimension, exact mask or None if all are exact).
 _SCORERS = {
     "pkde": (3, _pkde_scores),
     "mahalanobis": (2, _mahalanobis_scores),

@@ -1,6 +1,6 @@
-"""Dense linear algebra for the detector: covariance, a LAPACK
-eigensolver for symmetric matrices, the exact power-of-two rescale of every
-detect input, the row lift and row-block scheduler of the kernel sum and
+"""Dense linear algebra for the detector: covariance, a LAPACK eigensolver
+for symmetric matrices, every scorer's exact power-of-two rescale after
+centring, the row lift and row-block scheduler of the kernel sum and
 neighbour table, and the stable selection of the k lowest values.
 
 Matrices are plain float64 numpy arrays in row-major order; the validators
@@ -188,6 +188,21 @@ def pow2_scale(A: np.ndarray) -> tuple[np.ndarray, int]:
     """
     p = int(np.frexp(np.max(np.abs(A)))[1])
     return np.ldexp(A, -p), p
+
+
+def pow2_centre(A: np.ndarray) -> tuple[np.ndarray, int]:
+    """(C, p): (A - mean) * 2**-p, max |C| in [0.5, 1) or C = 0: pow2_scale's
+    copy, so no mean overflows, centred, constant columns set to 0, and
+    scaled in place, exactly. The exponent follows the spread of the data,
+    not its offset, so a large constant column cannot underflow the rest."""
+    C, p = pow2_scale(A)
+    C -= C.mean(axis=0)
+    for j in np.flatnonzero(C[0] == C[-1]):  # a constant column keeps its mean's rounding
+        if C[:, j].min() == C[:, j].max():
+            C[:, j] = 0.0
+    r = int(np.frexp(max(C.max(), -C.min()))[1])
+    np.ldexp(C, -r, out=C)
+    return C, p + r
 
 
 def _as_float64(x, name: str) -> np.ndarray:

@@ -35,23 +35,22 @@ def fit_pca(X) -> PcaModel:
     A = as_matrix(X)
     if A.shape[0] < 2:
         raise InvalidInputError("PCA needs at least 2 rows")
-    return _fit_centred(A.copy())
-
-
-def _fit_centred(A: np.ndarray) -> PcaModel:
-    """fit_pca of A, a checked float64 matrix of at least 2 rows that the
-    caller owns, centred in place: afterwards A @ components[:, :m] is
-    project(model, A_before, m) bit for bit."""
     mean = A.mean(axis=0)
-    A -= mean
-    eig = sym_eigen(covariance(A))
+    return _fit_centred(A - mean, mean)
+
+
+def _fit_centred(C: np.ndarray, mean=None) -> PcaModel:
+    """fit_pca of the matrix A that its caller centred into C = A - mean
+    (mean zero when None), C a checked float64 matrix of at least 2 rows:
+    C @ components[:, :m] is then project(model, A, m) bit for bit."""
+    eig = sym_eigen(covariance(C))
     total = float(np.sum(eig.eigenvalues))
     if total > 0.0:
         ratio = eig.eigenvalues / total
     else:
         ratio = np.zeros_like(eig.eigenvalues)
     return PcaModel(
-        mean=mean,
+        mean=np.zeros(C.shape[1]) if mean is None else mean,
         components=eig.eigenvectors,
         eigenvalues=eig.eigenvalues,
         explained_ratio=ratio,

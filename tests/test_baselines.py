@@ -13,7 +13,7 @@ from pkde.baselines import (
     mahalanobis_score,
 )
 from pkde.datasets import SynthSpec, gen_synthetic
-from pkde.errors import DataError, DegenerateDuplicatesError, InvalidInputError
+from pkde.errors import DegenerateDuplicatesError, InvalidInputError
 from pkde.pca import fit_pca, project
 
 
@@ -110,11 +110,20 @@ class TestKnnTable:
                     np.linalg.norm(X[i] - X[j]) - table.distances[i, col]
                 ) <= 1e-12
 
-    def test_overflowing_distances_rejected(self):
-        # detect rescales first; called directly at 1e200 the squares overflow.
+    def test_direct_calls_map_scale_back(self):
+        # Each baseline rescales its own centred copy, so called directly at
+        # 2^±664 (about 1e±200), where the squares of the raw rows would
+        # overflow or underflow, it gives the unit-scale results mapped back.
         X = np.random.default_rng(55).standard_normal((50, 3))
-        with pytest.raises(DataError):
-            knn_table(X * 1e200, 3)
+        unit = knn_table(X, 3)
+        for e in (664, -664):
+            Y = np.ldexp(X, e)
+            table = knn_table(Y, 3)
+            assert np.array_equal(table.indices, unit.indices)
+            assert np.array_equal(table.distances, np.ldexp(unit.distances, e))
+            assert np.array_equal(knn_dist_score(Y, 3), np.ldexp(knn_dist_score(X, 3), e))
+            assert np.array_equal(lof_score(Y, 3), lof_score(X, 3))
+            assert np.array_equal(mahalanobis_score(Y), mahalanobis_score(X))
 
     @pytest.mark.parametrize("k", [0, 10, 2.0, True, "3"])
     def test_k_out_of_range(self, k):
@@ -172,23 +181,18 @@ class TestKnnTable:
     def test_matches_difference_form_oracle(self, kind, n, d, data):
         k = data.draw(st.integers(min_value=1, max_value=min(n - 1, 12)), label="k")
         X = oracle_case(kind, n, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
-        # At any power-of-two scale the float32 screen sees the same rows;
-        # far down the float64 distances underflow, far up they overflow.
-        X = np.ldexp(X, data.draw(st.integers(min_value=-600, max_value=600), label="scale exponent"))
-        C = X - X.mean(axis=0)
-        if not np.einsum("ij,ij->i", C, C).max() <= np.finfo(float).max / 4:
-            with pytest.raises(DataError):
-                knn_table(X, k)
-            return
+        # At any power-of-two scale the table works on the same rescaled
+        # rows, so it is the unscaled rows' table, its distances mapped back.
+        e = data.draw(st.integers(min_value=-600, max_value=600), label="scale exponent")
         rows = data.draw(st.integers(min_value=1, max_value=n), label="block rows")
         workers = data.draw(st.sampled_from([1, 2]), label="workers")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "_BLOCK_FLOATS", workers * rows * n)
             mp.setattr(linalg, "_worker_count", lambda: workers)
-            table = knn_table(X, k)
+            table = knn_table(np.ldexp(X, e), k)
         idx, dist = difference_form_neighbors(X, k)
         assert np.array_equal(table.indices, idx)
-        assert np.array_equal(table.distances, dist)
+        assert np.array_equal(table.distances, np.ldexp(dist, e))
 
     def test_same_table_at_any_block_height(self, monkeypatch):
         # Block heights of 1 (a GEMV), 7, 13, 333 and 2099 rows: the GEMM

@@ -283,6 +283,23 @@ class TestDetect:
             assert [int(r["label"]) for r in rows] == truth.tolist()
             assert all(np.isfinite(float(r["score"])) for r in rows)
 
+    def test_constant_column_beside_tiny_data(self, tmp_path):
+        # A constant column of 1.0 or 0.1 beside the planted set at 1e-100
+        # to 1e-200: every detector exits 0 and labels the planted rows.
+        ds = gen_synthetic(SynthSpec("gaussian-planted", n_normal=190, n_outlier=10,
+                                     dim=5, seed=7))
+        data, out = tmp_path / "d.csv", tmp_path / "scores.csv"
+        for value in (1.0, 0.1):
+            for scale in (1e-100, 1e-160, 1e-200):
+                write_csv(replace(ds, X=np.c_[np.full(ds.n, value), ds.X * scale]), data)
+                for name in detector.DETECTOR_IDS:
+                    rc = run(["detect", "-i", str(data), "--label-column", "label",
+                              "--detector", name, "--contamination", "0.05", "-o", str(out)])
+                    assert rc == 0, (name, value, scale)
+                    with out.open() as fh:
+                        predicted = [int(r["label"]) for r in csv.DictReader(fh)]
+                    assert predicted == ds.labels.tolist(), (name, value, scale)
+
     @pytest.mark.parametrize("header", [True, False])
     def test_byte_order_mark_exit_0(self, tmp_path, header):
         # A "CSV UTF-8" spreadsheet export begins with a byte-order mark,

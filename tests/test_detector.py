@@ -262,9 +262,9 @@ class TestPkdeFitScore:
         if tiny is not None and 1 < d < n:
             X = np.linalg.qr(X - X.mean(axis=0))[0] * np.sqrt(np.r_[np.ones(d - 1), tiny])
             kept = d if tiny > 1e-12 else d - 1
-        wh, m, _ = detector._pkde_samples(X, DetectorConfig(0.1, fixed_dim=d, bandwidth_rule=rule))
+        wh, m, p = detector._pkde_samples(X, DetectorConfig(0.1, fixed_dim=d, bandwidth_rule=rule))
         assert m == min(kept, n - 1)
-        A = linalg.pow2_scale(X)[0]
+        A = np.ldexp(X, -p)  # the scale of PKDE's centred copy
         model = fit_pca(A)
         bw = scott_bandwidth(np.diag(model.eigenvalues[:m]), n, rule)
         ref = kde._whiten(fit_kde(project(model, A, m), bw))[0]
@@ -327,7 +327,7 @@ class TestPkdeFitScore:
 class TestDetect:
     @pytest.mark.parametrize("name", ["pkde", "mahalanobis"])
     def test_pca_front_end_skips_public_pca(self, monkeypatch, name):
-        # PKDE and Mahalanobis centre their own copy once (pca._fit_centred)
+        # PKDE and Mahalanobis centre their own copy once (linalg.pow2_centre)
         # and project it themselves: neither pays fit_pca's copy or
         # project's centred one. Every pkde module's reference is replaced.
         calls = []
@@ -380,7 +380,7 @@ class TestDetect:
 
     def test_neighbor_baselines_scale_free(self):
         # The squared-norm expansion would overflow at 1e160 and underflow
-        # at 1e-160 without the power-of-two rescaling in detect.
+        # at 1e-160 without the neighbour table's power-of-two rescale.
         ds = planted()
         cfg = DetectorConfig(contamination=0.05)
         unit = detect("knn-dist", ds.X, cfg).scores
@@ -404,8 +404,8 @@ class TestDetect:
             assert np.array_equal(result.labels, ds.labels)
 
     def test_every_detector_scale_free(self):
-        # detect divides the data by a power of two first, so no detector
-        # overflows or underflows, and each maps its scores back exactly.
+        # Each scorer divides its centred copy by a power of two, so no
+        # detector overflows or underflows, and each maps its scores back.
         ds = planted()
         cfg = DetectorConfig(contamination=0.05)
         for name in DETECTOR_IDS:
@@ -422,6 +422,28 @@ class TestDetect:
                 else:
                     expected = unit.scores
                 np.testing.assert_allclose(result.scores, expected, rtol=1e-12, atol=0)
+
+    def test_constant_column_beside_tiny_data(self):
+        # A constant column beside data at 1e-100 to 1e-200: each scorer
+        # takes its exponent after centring, so the constant column, centred
+        # to 0, cannot set it and push the other columns into underflow. The
+        # mean of a column of 0.1 is rounded, and what its centring leaves is
+        # zeroed too.
+        ds = planted(n_normal=190, n_outlier=10, dim=5)
+        cfg = DetectorConfig(contamination=0.05)
+        for value in (1.0, 0.1):
+            for scale in (1e-100, 1e-160, 1e-200):
+                X = np.c_[np.full(ds.n, value), ds.X * scale]
+                for name in DETECTOR_IDS:
+                    result = detect(name, X, cfg)
+                    assert np.array_equal(result.labels, ds.labels), (name, value, scale)
+
+    def test_mahalanobis_peak_memory(self, traced_peak):
+        # The cli-sat benchmark shape. The score holds two n x d arrays: the
+        # centred copy and its projection, squared in place.
+        X = planted(seed=0, n_normal=6113, n_outlier=322, dim=36).X
+        _, peak = traced_peak(detect, "mahalanobis", X, DetectorConfig(contamination=0.05))
+        assert peak < 2.2 * X.nbytes
 
     @given(
         st.sampled_from([7, 11]),

@@ -133,6 +133,29 @@ class TestCovariance:
         assert np.abs(S1 - S2).max() <= 1e-12
 
 
+class TestPow2Centre:
+    def test_scale_set_by_centred_spread(self):
+        # Constant columns of 0.1 and 1e6 beside one at 1e-200 x (3 + noise):
+        # the exponent is that of the centred small column, the constant
+        # columns are exactly 0, and the small column is the pow2_scale
+        # copy's, centred, times a power of two.
+        x = np.random.default_rng(6).standard_normal(50)
+        A = np.c_[np.full(50, 0.1), 1e-200 * (3.0 + x), np.full(50, 1e6)]
+        C, p = linalg.pow2_centre(A)
+        assert 0.5 <= np.abs(C).max() < 1.0
+        assert not C[:, [0, 2]].any()
+        B, q = linalg.pow2_scale(A)
+        centred = B[:, 1] - B[:, 1].mean()
+        assert np.array_equal(C[:, 1], np.ldexp(centred, q - p))
+        assert p == np.frexp(np.abs(centred).max())[1] + q
+
+    def test_constant_data_is_zero(self):
+        # The rounded mean of 50 rows of 0.1 leaves a residue to be zeroed.
+        A = np.full((50, 3), 0.1)
+        C, p = linalg.pow2_centre(A)
+        assert not C.any() and p == linalg.pow2_scale(A)[1]
+
+
 class TestSymEigen:
     def test_diagonal(self):
         eig = sym_eigen(np.diag([3.0, 1.0]))
